@@ -36,7 +36,7 @@ def stable_key(payload: Mapping[str, Any]) -> str:
 class CacheInfo(NamedTuple):
     """Lookup statistics of one :class:`ResultCache` instance.
 
-    Mirrors the ``functools.lru_cache``/``im2col_cache_info`` idiom:
+    Mirrors the ``functools.lru_cache`` ``cache_info()`` idiom:
     ``hits``/``misses`` count :meth:`ResultCache.get` outcomes, ``corrupt``
     counts JSONL lines dropped at load time, ``entries`` is the live size.
     """

@@ -15,8 +15,6 @@ kernel width).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.utils.validation import check_group_split
@@ -37,63 +35,10 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-@lru_cache(maxsize=256)
-def _im2col_indices_cached(
-    channels: int,
-    height: int,
-    width: int,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Build (and memoize) the (k, i, j) gather indices for one geometry.
-
-    The indices depend only on the layer geometry, never on the batch or the
-    data, so training reuses one cached copy per (shape, kernel, stride,
-    padding) instead of rebuilding the index tensors on every forward and
-    backward call.  The cached arrays are marked read-only: every consumer
-    only gathers/scatters through them.
-    """
-    out_h = conv_output_size(height, kernel_h, stride, padding)
-    out_w = conv_output_size(width, kernel_w, stride, padding)
-
-    i0 = np.repeat(np.arange(kernel_h), kernel_w)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel_w), kernel_h * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel_h * kernel_w).reshape(-1, 1)
-    for array in (k, i, j):
-        array.setflags(write=False)
-    return k, i, j, out_h, out_w
-
-
-def _im2col_indices(
-    in_shape: tuple[int, int, int, int],
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    padding: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Memoized (k, i, j) gather indices for im2col (batch size irrelevant)."""
-    _, channels, height, width = in_shape
-    return _im2col_indices_cached(
-        int(channels), int(height), int(width),
-        int(kernel_h), int(kernel_w), int(stride), int(padding),
-    )
-
-
-def im2col_cache_info():
-    """Hit/miss statistics of the im2col index cache (for benchmarks/tests)."""
-    return _im2col_indices_cached.cache_info()
-
-
-def im2col_cache_clear() -> None:
-    """Drop all memoized im2col index tensors."""
-    _im2col_indices_cached.cache_clear()
+def _tap(kernel_offset: int, out_size: int, stride: int) -> slice:
+    """Padded-buffer positions that kernel tap ``kernel_offset`` reads, one
+    per output position along a dimension."""
+    return slice(kernel_offset, kernel_offset + stride * (out_size - 1) + 1, stride)
 
 
 def im2col(
@@ -101,15 +46,26 @@ def im2col(
 ) -> np.ndarray:
     """Unfold ``x`` of shape (N, C, H, W) into columns.
 
-    Returns an array of shape ``(C*KH*KW, N*OH*OW)`` where each column holds
-    the receptive field of one output position.
+    Returns an array of shape ``(C*KH*KW, OH*OW*N)`` where each column holds
+    the receptive field of one output position (batch index innermost).  The
+    input is copied once into a zero-padded ``(C, H+2p, W+2p, N)`` buffer, so
+    each of the KH*KW kernel taps is a single strided slice copy.
     """
-    pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    x_padded = np.pad(x, pad_width, mode="constant") if padding > 0 else x
-    k, i, j, _, _ = _im2col_indices(x.shape, kernel_h, kernel_w, stride, padding)
-    cols = x_padded[:, k, i, j]
-    cols = cols.transpose(1, 2, 0).reshape(kernel_h * kernel_w * x.shape[1], -1)
-    return cols
+    batch, channels, height, width = x.shape
+    out_h = conv_output_size(height, kernel_h, stride, padding)
+    out_w = conv_output_size(width, kernel_w, stride, padding)
+    padded = np.zeros(
+        (channels, height + 2 * padding, width + 2 * padding, batch), dtype=x.dtype
+    )
+    padded[:, padding : padding + height, padding : padding + width] = x.transpose(
+        1, 2, 3, 0
+    )
+    cols = np.empty((channels, kernel_h, kernel_w, out_h, out_w, batch), dtype=x.dtype)
+    for kh in range(kernel_h):
+        rows = _tap(kh, out_h, stride)
+        for kw in range(kernel_w):
+            cols[:, kh, kw] = padded[:, rows, _tap(kw, out_w, stride)]
+    return cols.reshape(channels * kernel_h * kernel_w, -1)
 
 
 def col2im(
@@ -123,18 +79,25 @@ def col2im(
     """Fold columns back into an (N, C, H, W) tensor, accumulating overlaps.
 
     This is the adjoint of :func:`im2col` and is used to compute the gradient
-    with respect to the convolution input (the paper's GTA step).
+    with respect to the convolution input (the paper's GTA step).  Each kernel
+    tap is one strided slice add into a zero ``(C, H+2p, W+2p, N)`` buffer.
+    The taps run in ``(kh, kw)`` ascending order, which is the column row
+    order, so every input position sums its contributions in the same
+    sequence as a sequential scatter-add over the rows would.
     """
     batch, channels, height, width = in_shape
-    padded_h, padded_w = height + 2 * padding, width + 2 * padding
-    x_padded = np.zeros((batch, channels, padded_h, padded_w), dtype=cols.dtype)
-    k, i, j, _, _ = _im2col_indices(in_shape, kernel_h, kernel_w, stride, padding)
-    cols_reshaped = cols.reshape(channels * kernel_h * kernel_w, -1, batch)
-    cols_reshaped = cols_reshaped.transpose(2, 0, 1)
-    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
-    if padding == 0:
-        return x_padded
-    return x_padded[:, :, padding:-padding, padding:-padding]
+    out_h = conv_output_size(height, kernel_h, stride, padding)
+    out_w = conv_output_size(width, kernel_w, stride, padding)
+    taps = cols.reshape(channels, kernel_h, kernel_w, out_h, out_w, batch)
+    padded = np.zeros(
+        (channels, height + 2 * padding, width + 2 * padding, batch), dtype=cols.dtype
+    )
+    for kh in range(kernel_h):
+        rows = _tap(kh, out_h, stride)
+        for kw in range(kernel_w):
+            padded[:, rows, _tap(kw, out_w, stride)] += taps[:, kh, kw]
+    inner = padded[:, padding : padding + height, padding : padding + width]
+    return np.ascontiguousarray(inner.transpose(3, 0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

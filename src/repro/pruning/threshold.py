@@ -28,14 +28,15 @@ the FIFO is full.
 from __future__ import annotations
 
 from collections import deque
+from statistics import NormalDist
 
 import numpy as np
-# ndtri is the standard-normal inverse CDF: the same value as
-# ``scipy.stats.norm.ppf`` (which wraps it) without dragging the whole
-# ``scipy.stats`` distribution machinery into every CLI startup.
-from scipy.special import ndtri
 
 from repro.utils.validation import check_positive_int, check_probability
+
+# Standard-normal inverse CDF from the standard library, so numpy stays the
+# only runtime dependency.
+_normal_inv_cdf = NormalDist().inv_cdf
 
 
 def estimate_sigma(gradients: np.ndarray) -> float:
@@ -59,7 +60,7 @@ def quantile_factor(target_sparsity: float) -> float:
         return 0.0
     if target_sparsity == 1.0:
         return float("inf")
-    return float(ndtri((1.0 + target_sparsity) / 2.0))
+    return _normal_inv_cdf((1.0 + target_sparsity) / 2.0)
 
 
 def determine_threshold(gradients: np.ndarray, target_sparsity: float) -> float:

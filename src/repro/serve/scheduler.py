@@ -623,7 +623,12 @@ class Scheduler:
             self.events.emit(job.id, "interrupted")
             raise
         else:
-            self.store.mark_done(job.id, result, worker_id=worker_id)
+            finished = self.store.mark_done(job.id, result, worker_id=worker_id)
+            if finished.worker_id != worker_id:
+                # Reaped while we ran: the owner guard discarded the result
+                # (``mark_done`` counted ``jobs.lease_lost``) and the job
+                # belongs to another execution, which reports its own end.
+                return
             self.events.emit(job.id, "done")
             self.events.mark_terminal(job.id)
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,8 @@ from repro.pruning.threshold import (
     expected_density_after_pruning,
     quantile_factor,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestSigmaEstimation:
@@ -48,6 +54,25 @@ class TestQuantileFactor:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             quantile_factor(1.5)
+
+    def test_cli_imports_without_scipy(self):
+        """numpy is the only declared runtime dependency: with ``scipy``
+        blocked, the CLI (and the pruning code under it) still imports."""
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro.cli\n"
+            "from repro.pruning.threshold import quantile_factor\n"
+            "print(quantile_factor(0.9))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(1.6449, abs=1e-3)
 
 
 class TestDetermineThreshold:

@@ -25,7 +25,9 @@ from repro.serve.worker import Worker
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-# A claim/execute/complete loop that exits once the queue stays empty.
+# A claim/execute/complete loop that exits once the queue stays empty.  It
+# prints ``ready`` once imported and connected, then blocks on stdin until
+# the parent releases every hammer at once.
 _HAMMER_SCRIPT = """
 import sys, time
 from repro.api.request import ExperimentResult
@@ -33,6 +35,8 @@ from repro.serve.store import JobStore
 
 db, worker_id = sys.argv[1], sys.argv[2]
 with JobStore(db) as store:
+    print("ready", flush=True)
+    sys.stdin.readline()
     idle = 0
     while idle < 10:
         job = store.claim_next(worker_id=worker_id, lease_ttl=30.0)
@@ -96,11 +100,27 @@ class TestCrossProcessClaims:
             subprocess.Popen(
                 [sys.executable, "-c", _HAMMER_SCRIPT, str(db), f"hammer:{n}"],
                 env=_python_env(),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
             )
             for n in range(3)
         ]
-        for proc in procs:
-            assert proc.wait(timeout=120) == 0
+        try:
+            # Readiness barrier: no hammer claims until all three finished
+            # importing, so a fast starter cannot drain the queue alone.
+            for proc in procs:
+                assert proc.stdout.readline().strip() == "ready"
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.close()
+            for proc in procs:
+                assert proc.wait(timeout=120) == 0
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                proc.stdout.close()
 
         with JobStore(db) as store:
             finished = store.list_jobs(limit=jobs * 2)

@@ -8,8 +8,9 @@ import time
 import pytest
 
 from repro.api import ExperimentRequest, ExperimentResult, RunOptions
+from repro.obs import metrics
 from repro.serve.scheduler import JobEvents, Scheduler
-from repro.serve.store import CANCELLED, DONE, FAILED, JobStore, QUEUED
+from repro.serve.store import CANCELLED, DONE, FAILED, RUNNING, JobStore, QUEUED
 
 
 def _request(rate: float = 0.9, experiment: str = "fig8") -> ExperimentRequest:
@@ -229,6 +230,33 @@ class TestLifecycle:
         job, _ = scheduler.submit(_request())
         with pytest.raises(TimeoutError):
             scheduler.wait(job.id, timeout=0.05, poll=0.01)
+
+
+class TestLostLease:
+    def test_result_after_reap_is_not_reported_done(self, store):
+        """A job reaped mid-execution and re-claimed elsewhere: the late
+        result is discarded, and the scheduler reports no ``done``."""
+        started, gate = threading.Event(), threading.Event()
+        executor = CountingExecutor(gate=gate, started=started)
+        scheduler = _scheduler(store, executor, concurrency=1, lease_ttl=30.0)
+        lost = metrics().counter("jobs.lease_lost")
+        scheduler.start()
+        try:
+            job, _ = scheduler.submit(_request())
+            assert started.wait(10.0)
+            assert store.reap_expired(now=time.time() + 1000.0).requeued == [job.id]
+            assert store.claim_next(worker_id="w-other", lease_ttl=30.0).id == job.id
+            lost_before = lost.value
+            gate.set()
+        finally:
+            gate.set()
+            assert scheduler.stop(timeout=10.0)
+
+        assert lost.value == lost_before + 1
+        events = [e["event"] for e in scheduler.events.since(job.id)]
+        assert events[0] == "started" and "done" not in events
+        current = store.get(job.id)
+        assert current.state == RUNNING and current.worker_id == "w-other"
 
 
 class TestJobEventsEviction:
