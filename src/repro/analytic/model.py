@@ -3,26 +3,30 @@
 The layer-level simulator (:mod:`repro.arch.accelerator`) already computes
 every quantity from closed-form expected-value counts; what makes it slow at
 survey scale is walking the instruction stream point by point in Python.
-This module re-states the exact same arithmetic as batched numpy expressions
-over *(design point, layer)* arrays, so a whole design grid — millions of
-(workload, architecture, density) points — evaluates in a handful of
-vectorized calls.
+This module evaluates the same formulas over *(design point, layer)* arrays,
+so a whole design grid — millions of (workload, architecture, density)
+points — evaluates in a handful of vectorized calls.
 
-The replication is deliberately formula-for-formula:
+It holds no formula of its own.  Every one is imported from its one home and
+evaluates on scalars and numpy columns alike:
 
-* per-step operand/traffic counts mirror :mod:`repro.dataflow.counts`
-  (including the grouped-convolution fan-in/fan-out and the compressed-format
-  word costs);
-* the machine model mirrors ``AcceleratorSimulator.run_program``: per-batch
-  weight-tile amortisation (:meth:`GlobalBuffer.weight_tiling_factor`), the
-  GTW weight-gradient write-back divided by the batch size, double-buffered
-  ``max(compute, dram)`` step latency, and the same energy accounting.
+* per-step operand/traffic counts: :func:`repro.dataflow.counts.forward_counts`,
+  ``gta_counts`` and ``gtw_counts`` on a :class:`LayerGeometry` and a
+  :class:`DensityGrid`;
+* per-batch weight-tile amortisation:
+  :func:`repro.arch.buffer.weight_tiling_factor`;
+* compute cycles: :func:`repro.arch.accelerator.compute_cycles` on an
+  :class:`ArchGrid`;
+* area: :func:`repro.arch.area.estimate_area`; energy:
+  :func:`repro.arch.energy.energy_from_events`.
 
-Because both paths are closed-form, the analytic tier agrees with the
-simulator to floating-point summation order (relative error ~1e-12; see
-``repro.analytic.validate`` for the enforced bounds).  Aggregates are summed
-with numpy instead of Python-loop order, which is the only source of
-disagreement.
+What is left here is the machine model's glue, mirroring
+``AcceleratorSimulator.run_program``: the GTW weight-gradient write-back
+divided by the batch size and the double-buffered ``max(compute, dram)``
+step latency.  Aggregates are summed with numpy instead of Python-loop
+order, and energy is charged on per-point totals instead of per step, so the
+tiers differ by float rounding only (see ``repro.analytic.validate`` for the
+enforced bounds).
 
 Cache keys: analytic records are :class:`EvaluationRecord` objects whose
 ``key`` is the point's simulator key salted with ``fidelity=analytic``
@@ -34,11 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.arch.accelerator import compute_cycles
 from repro.arch.area import AreaModel, estimate_area
+from repro.arch.buffer import weight_tiling_factor
 from repro.arch.config import ArchConfig, dense_baseline_config, sparsetrain_config
 from repro.arch.energy import (
     EnergyModel,
@@ -46,8 +52,7 @@ from repro.arch.energy import (
     default_energy_model,
     energy_from_events,
 )
-from repro.arch.results import SimulationResult, StepResult
-from repro.dataflow.counts import LayerDensities, StepKind, compressed_words, skip_factor
+from repro.dataflow.counts import LayerDensities, StepKind, forward_counts, gta_counts, gtw_counts
 from repro.explore.engine import (
     NATURAL_ACTIVATION_DENSITY,
     NATURAL_GRADIENT_DENSITY,
@@ -59,8 +64,6 @@ from repro.models.spec import ModelSpec
 from repro.models.zoo import get_model_spec
 from repro.obs import metrics
 from repro.pruning.threshold import expected_density_after_pruning
-from repro.sim.runner import WorkloadJob, WorkloadResult
-from repro.arch.results import ComparisonResult
 
 # Evaluate workload groups in bounded slabs so million-point sweeps stay in a
 # few MB of (chunk, layers) scratch instead of materialising (N, layers).
@@ -77,14 +80,15 @@ class LayerGeometry:
 
     Everything here is density-independent; the density- and
     architecture-dependent factors broadcast against these arrays with a
-    leading point axis.
+    leading point axis.  The field names are :class:`ConvLayerSpec`'s, so the
+    step-count formulas read either.
     """
 
     names: tuple[str, ...]
     kernel: np.ndarray
     in_width: np.ndarray
     in_height: np.ndarray
-    padded_width: np.ndarray
+    padding: np.ndarray
     out_width: np.ndarray
     out_height: np.ndarray
     in_channels: np.ndarray
@@ -112,7 +116,7 @@ class LayerGeometry:
             kernel=arr([l.kernel for l in layers]),
             in_width=arr([l.in_width for l in layers]),
             in_height=arr([l.in_height for l in layers]),
-            padded_width=arr([l.in_width + 2 * l.padding for l in layers]),
+            padding=arr([l.padding for l in layers]),
             out_width=arr([l.out_width for l in layers]),
             out_height=arr([l.out_height for l in layers]),
             in_channels=arr([l.in_channels for l in layers]),
@@ -139,18 +143,22 @@ def workload_geometry(model: str, dataset: str) -> tuple[ModelSpec, LayerGeometr
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Operand densities as arrays broadcastable to ``(points, layers)``."""
+    """Operand densities as arrays broadcastable to ``(points, layers)``.
 
-    input: np.ndarray
-    grad_output: np.ndarray
-    mask: np.ndarray
-    grad_input: np.ndarray
-    output: np.ndarray
+    The field names are :class:`LayerDensities`', so the step-count formulas
+    read either.
+    """
+
+    input_density: np.ndarray
+    grad_output_density: np.ndarray
+    mask_density: np.ndarray
+    grad_input_density: np.ndarray
+    output_density: np.ndarray
 
     @classmethod
     def dense(cls) -> "DensityGrid":
         one = np.float64(1.0)
-        return cls(input=one, grad_output=one, mask=one, grad_input=one, output=one)
+        return cls(one, one, one, one, one)
 
     @classmethod
     def from_layer_densities(
@@ -166,11 +174,11 @@ class DensityGrid:
             for name in geometry.names
         ]
         return cls(
-            input=np.asarray([d.input_density for d in per_layer]),
-            grad_output=np.asarray([d.grad_output_density for d in per_layer]),
-            mask=np.asarray([d.mask_density for d in per_layer]),
-            grad_input=np.asarray([d.grad_input_density for d in per_layer]),
-            output=np.asarray([d.output_density for d in per_layer]),
+            input_density=np.asarray([d.input_density for d in per_layer]),
+            grad_output_density=np.asarray([d.grad_output_density for d in per_layer]),
+            mask_density=np.asarray([d.mask_density for d in per_layer]),
+            grad_input_density=np.asarray([d.grad_input_density for d in per_layer]),
+            output_density=np.asarray([d.output_density for d in per_layer]),
         )
 
     @classmethod
@@ -199,11 +207,11 @@ class DensityGrid:
         # ``dense_first_layer_input`` behaviour of ``uniform_densities``.
         input_density[:, 0] = 1.0
         return cls(
-            input=input_density,
-            grad_output=grad[:, None],
-            mask=np.float64(activation_density),
-            grad_input=np.minimum(1.0, grad * 2.0)[:, None],
-            output=np.float64(activation_density),
+            input_density=input_density,
+            grad_output_density=grad[:, None],
+            mask_density=np.float64(activation_density),
+            grad_input_density=np.minimum(1.0, grad * 2.0)[:, None],
+            output_density=np.float64(activation_density),
         )
 
 
@@ -213,10 +221,15 @@ class DensityGrid:
 
 @dataclass(frozen=True)
 class ArchGrid:
-    """Per-point :class:`ArchConfig` fields as ``(N, 1)`` column arrays."""
+    """Per-point :class:`ArchConfig` fields as ``(N, 1)`` column arrays.
+
+    The field names are :class:`ArchConfig`'s, so the compute-cycle and area
+    formulas read either.
+    """
 
     num_pes: np.ndarray
     pes_per_group: np.ndarray
+    num_groups: np.ndarray
     kernel_size: np.ndarray
     clock_ghz: np.ndarray
     buffer_kib: np.ndarray
@@ -235,6 +248,7 @@ class ArchGrid:
         return cls(
             num_pes=col([c.num_pes for c in configs]),
             pes_per_group=col([c.pes_per_group for c in configs]),
+            num_groups=col([c.num_groups for c in configs]),
             kernel_size=col([c.kernel_size for c in configs]),
             clock_ghz=col([c.clock_ghz for c in configs]),
             buffer_kib=col([c.buffer_kib for c in configs]),
@@ -249,7 +263,11 @@ class ArchGrid:
 
 @dataclass(frozen=True)
 class EnergyGrid:
-    """Per-point :class:`EnergyModel` constants as ``(N, 1)`` column arrays."""
+    """Per-point :class:`EnergyModel` constants as ``(N,)`` arrays.
+
+    The field names are :class:`EnergyModel`'s, so
+    :func:`~repro.arch.energy.energy_from_events` reads either.
+    """
 
     mac_pj: np.ndarray
     reg_pj: np.ndarray
@@ -260,7 +278,7 @@ class EnergyGrid:
     @classmethod
     def from_models(cls, models: Sequence[EnergyModel]) -> "EnergyGrid":
         def col(values) -> np.ndarray:
-            return np.asarray(values, dtype=np.float64)[:, None]
+            return np.asarray(values, dtype=np.float64)
 
         return cls(
             mac_pj=col([m.mac_pj for m in models]),
@@ -275,126 +293,6 @@ class EnergyGrid:
 # Step counts + machine model
 # ---------------------------------------------------------------------------
 
-def _forward_arrays(g: LayerGeometry, d: DensityGrid, sparse: bool) -> dict[str, Any]:
-    """Vectorized :func:`repro.dataflow.counts.forward_counts`."""
-    row_ops = g.out_channels * g.out_height * g.group_in_channels * g.kernel
-    if sparse:
-        processed_per_op = g.in_width * d.input
-        input_read = row_ops * compressed_words(processed_per_op)
-        output_write = compressed_words(g.output_size * d.output)
-        dram_read = compressed_words(g.input_size * d.input)
-    else:
-        processed_per_op = g.padded_width
-        input_read = row_ops * g.padded_width
-        output_write = g.output_size
-        dram_read = g.input_size
-    processed = row_ops * processed_per_op
-    macs = processed * g.kernel
-    weight_loads = row_ops * g.kernel
-    psum_write = g.out_channels * g.out_height * g.out_width
-    return {
-        "row_ops": row_ops,
-        "processed": processed,
-        "macs": macs,
-        "weight_loads": weight_loads,
-        "reg": 2.0 * macs + processed,
-        "sram_read": input_read + weight_loads,
-        "sram_write": psum_write + output_write,
-        "dram_read": dram_read,
-        "store": output_write,
-    }
-
-
-def _gta_arrays(g: LayerGeometry, d: DensityGrid, sparse: bool) -> dict[str, Any]:
-    """Vectorized :func:`repro.dataflow.counts.gta_counts`."""
-    row_ops = g.in_channels * g.in_height * g.group_out_channels * g.kernel
-    if sparse:
-        d_grad = d.grad_output
-        # Mask skipping only exists behind a ReLU; ``has_relu_mask`` selects
-        # the layer's mask density or 1.0 (the ``d_mask`` gate in gta_counts).
-        d_mask = g.has_relu_mask * d.mask + (1.0 - g.has_relu_mask) * 1.0
-        grad_row_nnz = g.out_width * d_grad
-        grad_read = row_ops * compressed_words(grad_row_nnz)
-        mask_read = g.has_relu_mask * row_ops * (g.in_width * d_mask) / 2.0
-        grad_input_write = compressed_words(g.input_size * d.grad_input)
-        dram_read = compressed_words(g.output_size * d_grad)
-    else:
-        d_grad = np.float64(1.0)
-        d_mask = np.float64(1.0)
-        grad_row_nnz = g.out_width * d_grad
-        grad_read = row_ops * g.out_width
-        mask_read = np.float64(0.0)
-        grad_input_write = g.input_size
-        dram_read = g.output_size
-    processed = row_ops * (grad_row_nnz * skip_factor(d_mask, g.kernel))
-    macs = row_ops * grad_row_nnz * g.kernel * d_mask
-    weight_loads = row_ops * g.kernel
-    psum_write = g.in_channels * g.in_height * g.in_width
-    return {
-        "row_ops": row_ops,
-        "processed": processed,
-        "macs": macs,
-        "weight_loads": weight_loads,
-        "reg": 2.0 * macs + processed,
-        "sram_read": grad_read + mask_read + weight_loads,
-        "sram_write": psum_write + grad_input_write,
-        "dram_read": dram_read,
-        "store": grad_input_write,
-    }
-
-
-def _gtw_arrays(g: LayerGeometry, d: DensityGrid, sparse: bool) -> dict[str, Any]:
-    """Vectorized :func:`repro.dataflow.counts.gtw_counts`."""
-    row_ops = g.out_channels * g.group_in_channels * g.kernel * g.out_height
-    if sparse:
-        d_in, d_grad = d.input, d.grad_output
-        input_row_length = g.in_width
-        input_read = row_ops * compressed_words(input_row_length * d_in)
-        grad_read = row_ops * compressed_words(g.out_width * d_grad)
-        dram_read = compressed_words(g.input_size * d_in) + compressed_words(
-            g.output_size * d_grad
-        )
-    else:
-        d_in = d_grad = np.float64(1.0)
-        input_row_length = g.padded_width
-        input_read = row_ops * g.padded_width
-        grad_read = row_ops * g.out_width
-        dram_read = g.input_size + g.output_size
-    processed = row_ops * (input_row_length * d_in * skip_factor(d_grad, g.kernel))
-    macs = row_ops * input_row_length * d_in * g.kernel * d_grad
-    return {
-        "row_ops": row_ops,
-        "processed": processed,
-        "macs": macs,
-        # OSRC caches dO rows in Reg-1; no separate kernel-row loads.
-        "weight_loads": np.float64(0.0),
-        "reg": 2.0 * macs + processed,
-        "sram_read": input_read + grad_read,
-        "sram_write": g.weight_count,
-        "dram_read": dram_read,
-        "store": g.weight_count,
-    }
-
-
-def _weight_tiling(
-    g: LayerGeometry, d: DensityGrid, arch: ArchGrid, sparse: bool
-) -> np.ndarray:
-    """Vectorized :meth:`GlobalBuffer.weight_tiling_factor` — ``(N, L)``."""
-    if sparse:
-        activation_words = (
-            g.input_size * d.input * 1.5 + g.output_size * d.output * 1.5
-        )
-    else:
-        activation_words = g.input_size + g.output_size
-    weight_space = np.minimum(g.weight_count, arch.buffer_words / 2.0)
-    available = arch.buffer_words - weight_space
-    return np.where(
-        activation_words <= available,
-        1.0,
-        np.ceil(activation_words / available),
-    )
-
-
 def _step_arrays(
     geometry: LayerGeometry,
     densities: DensityGrid,
@@ -403,20 +301,15 @@ def _step_arrays(
 ) -> dict[StepKind, dict[str, np.ndarray]]:
     """Per-(point, layer) step quantities, machine model applied.
 
-    Returns, per training step, arrays broadcast to ``(N, L)`` for: counts
-    (``processed``/``macs``/...), the DRAM weight-tile and store words, and
-    the resulting ``compute``/``dram_cycles``/``cycles``/``dram_words``.
+    Returns, per training step, arrays broadcast to ``(N, L)`` for the
+    counts the metrics sum (``row_ops``/``processed``/``macs``/...) and the
+    resulting ``cycles`` and ``dram_words``.
     """
-    tiling = _weight_tiling(geometry, densities, arch, sparse)
+    tiling = weight_tiling_factor(geometry, densities, arch.buffer_words, sparse)
     # Weights are fetched once per batch iteration (one LoadWeights before
     # the FORWARD and one before the GTA step); the GTW step reuses the
     # operands already streaming for its gradient rows.
     amortized_weights = geometry.weight_count * tiling / arch.batch_size
-    steps = {
-        StepKind.FORWARD: _forward_arrays(geometry, densities, sparse),
-        StepKind.GTA: _gta_arrays(geometry, densities, sparse),
-        StepKind.GTW: _gtw_arrays(geometry, densities, sparse),
-    }
     weight_words = {
         StepKind.FORWARD: amortized_weights,
         StepKind.GTA: amortized_weights,
@@ -425,50 +318,35 @@ def _step_arrays(
     shape = np.broadcast_shapes(
         tiling.shape, (geometry.num_layers,), arch.num_pes.shape
     )
-    operand_rate = arch.num_pes * arch.pe_utilization
-    count_fields = (
-        "row_ops",
-        "processed",
-        "macs",
-        "weight_loads",
-        "reg",
-        "sram_read",
-        "sram_write",
-        "dram_read",
-    )
-    for kind, step in steps.items():
-        for field in count_fields:
-            step[field] = np.broadcast_to(
-                np.asarray(step[field], dtype=np.float64), shape
-            )
-        store = step["store"]
+    steps: dict[StepKind, dict[str, np.ndarray]] = {}
+    for step_counts in (forward_counts, gta_counts, gtw_counts):
+        counts = step_counts(geometry, densities, sparse)
+        kind = counts.step
+        store = counts.dram_write_words
         if kind is StepKind.GTW:
             # Weight gradients accumulate on chip over the whole batch and
             # are written back once per iteration.
             store = store / arch.batch_size
-        compute = (
-            step["processed"] / operand_rate
-            + step["weight_loads"] * arch.weight_reload_overhead / arch.num_pes
-            + arch.sync_cycles_per_layer
-        )
+        dram_read = counts.dram_read_words + weight_words[kind]
         # ``run_program`` computes the read+weight transfer first and folds
         # the output store in afterwards — same two-term float expression.
         dram_cycles = (
-            step["dram_read"] + weight_words[kind]
-        ) / arch.dram_words_per_cycle + store / arch.dram_words_per_cycle
-        step["weight_words"] = np.broadcast_to(
-            np.asarray(weight_words[kind], dtype=np.float64), shape
+            dram_read / arch.dram_words_per_cycle + store / arch.dram_words_per_cycle
         )
-        step["store_words"] = np.broadcast_to(np.asarray(store, dtype=np.float64), shape)
-        step["compute"] = np.broadcast_to(compute, shape)
-        step["dram_cycles"] = np.broadcast_to(dram_cycles, shape)
-        step["cycles"] = np.maximum(step["compute"], step["dram_cycles"])
-        step["dram_words"] = np.broadcast_to(
-            (step["dram_read"] + weight_words[kind]) + store, shape
-        )
-        step["sram_words"] = np.broadcast_to(
-            step["sram_read"] + step["sram_write"], shape
-        )
+        fields = {
+            "row_ops": counts.row_ops,
+            "processed": counts.processed_operands,
+            "macs": counts.macs,
+            "weight_loads": counts.weight_loads,
+            "reg": counts.reg_accesses,
+            "sram_words": counts.sram_words,
+            "cycles": np.maximum(compute_cycles(counts, arch), dram_cycles),
+            "dram_words": dram_read + store,
+        }
+        steps[kind] = {
+            name: np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
+            for name, value in fields.items()
+        }
     return steps
 
 
@@ -512,7 +390,7 @@ def estimate_batch(
     """Evaluate one workload over a batch of design points in one call.
 
     ``densities`` broadcasts to ``(N, L)`` against the ``(N, 1)`` columns of
-    ``arch``/``energy``; the dense path (``sparse=False``) ignores the
+    ``arch`` (``energy`` holds ``(N,)`` constants); the dense path (``sparse=False``) ignores the
     density grid entirely, exactly like compiling with ``sparse=False``.
     """
     steps = _step_arrays(geometry, densities, arch, sparse)
@@ -520,30 +398,24 @@ def estimate_batch(
     def total(field: str) -> np.ndarray:
         return sum(np.sum(step[field], axis=-1) for step in steps.values())
 
-    cycles = total("cycles")
-    latency_us = cycles / (arch.clock_ghz[:, 0] * 1e3)
-    macs = total("macs")
-    reg = total("reg")
-    sram = total("sram_words")
-    dram = total("dram_words")
-    energy_pj = (
-        macs * energy.mac_pj[:, 0]
-        + reg * energy.reg_pj[:, 0]
-        + sram * energy.sram_pj[:, 0]
-        + dram * energy.dram_pj[:, 0]
-        + cycles * energy.leakage_pj_per_cycle[:, 0]
+    events = EventCounts(
+        macs=total("macs"),
+        reg_accesses=total("reg"),
+        sram_words=total("sram_words"),
+        dram_words=total("dram_words"),
+        cycles=total("cycles"),
     )
     return AnalyticMetrics(
-        cycles=cycles,
-        latency_us=latency_us,
-        energy_uj=energy_pj * 1e-6,
-        macs=macs,
+        cycles=events.cycles,
+        latency_us=events.cycles / (arch.clock_ghz[:, 0] * 1e3),
+        energy_uj=energy_from_events(events, energy).total_uj,
+        macs=events.macs,
         row_ops=total("row_ops"),
         processed_operands=total("processed"),
         weight_loads=total("weight_loads"),
-        reg_accesses=reg,
-        sram_words=sram,
-        dram_words=dram,
+        reg_accesses=events.reg_accesses,
+        sram_words=events.sram_words,
+        dram_words=events.dram_words,
     )
 
 
@@ -556,25 +428,6 @@ class AnalyticComparison:
     speedup: np.ndarray
     energy_efficiency: np.ndarray
     area_mm2: np.ndarray
-
-
-def area_mm2_batch(arch: ArchGrid, model: AreaModel | None = None) -> np.ndarray:
-    """Vectorized :func:`repro.arch.area.estimate_area` totals — ``(N,)``."""
-    model = model if model is not None else AreaModel()
-    num_pes = arch.num_pes[:, 0]
-    kernel = arch.kernel_size[:, 0]
-    macs = num_pes * kernel
-    # Reg-1 holds one kernel row, Reg-2 a 64-word partial-sum row per PE
-    # (the _REG{1,2}_WORDS_PER_PE constants of the area module).
-    register_words = num_pes * (1 * kernel + 64)
-    num_groups = np.floor(arch.num_pes[:, 0] / arch.pes_per_group[:, 0])
-    return (
-        macs * model.mac_mm2
-        + register_words * model.register_word_mm2
-        + num_groups * model.ppu_mm2
-        + model.controller_mm2
-        + arch.buffer_kib[:, 0] * model.sram_mm2_per_kib
-    )
 
 
 def compare_batch(
@@ -598,7 +451,7 @@ def compare_batch(
         baseline=baseline,
         speedup=speedup,
         energy_efficiency=energy_efficiency,
-        area_mm2=area_mm2_batch(sparse_arch, area_model),
+        area_mm2=estimate_area(sparse_arch, area_model).total_mm2[:, 0],
     )
 
 
@@ -764,6 +617,7 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
         return ArchGrid(
             num_pes=num_pes[:, None].astype(np.float64),
             pes_per_group=scalar(base.pes_per_group),
+            num_groups=(num_pes // base.pes_per_group)[:, None].astype(np.float64),
             kernel_size=scalar(base.kernel_size),
             clock_ghz=scalar(base.clock_ghz),
             buffer_kib=buffer_kib[:, None].astype(np.float64),
@@ -785,7 +639,7 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
     # pruning rate: evaluate them once per combo and expand — per-row numpy
     # arithmetic is position-independent, so the expanded values are bit-
     # identical to evaluating the full (combo, rate) cross product.
-    area_combo = area_mm2_batch(sparse_combo_grid)
+    area_combo = estimate_area(sparse_combo_grid).total_mm2[:, 0]
     rate_list = rate_col.tolist()
     num_pes_list = num_pes_col.tolist()
     buffer_list = buffer_col.tolist()
@@ -863,119 +717,6 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
     return records
 
 
-# ---------------------------------------------------------------------------
-# WorkloadJob front end (the fig8/fig9 harness integration)
-# ---------------------------------------------------------------------------
-
-def analytic_simulation_result(
-    spec: ModelSpec,
-    densities: Mapping[str, LayerDensities] | None,
-    config: ArchConfig,
-    energy_model: EnergyModel | None = None,
-    sparse: bool = True,
-) -> SimulationResult:
-    """One workload on one configuration, materialized as a SimulationResult.
-
-    The single-point (``N=1``) analytic evaluation unpacked into per-(layer,
-    step) :class:`StepResult` entries in program order (forward pass, then
-    the backward pass layer-reversed with GTA before GTW), so every report
-    that slices a simulated result — latency tables, Fig. 9 energy
-    breakdowns, per-layer cycle attributions — works on the analytic tier
-    unchanged.
-    """
-    energy_model = energy_model if energy_model is not None else default_energy_model()
-    geometry = LayerGeometry.from_spec(spec)
-    grid = (
-        DensityGrid.from_layer_densities(geometry, densities)
-        if sparse
-        else DensityGrid.dense()
-    )
-    steps = _step_arrays(
-        geometry, grid, ArchGrid.from_configs([config]), sparse
-    )
-    result = SimulationResult(
-        config_name=config.name,
-        model_name=spec.name,
-        dataset=spec.dataset,
-        sparse=sparse,
-        clock_ghz=config.clock_ghz,
-    )
-
-    def append(kind: StepKind, layer_index: int) -> None:
-        step = steps[kind]
-        events = EventCounts(
-            macs=float(step["macs"][0, layer_index]),
-            reg_accesses=float(step["reg"][0, layer_index]),
-            sram_words=float(step["sram_words"][0, layer_index]),
-            dram_words=float(step["dram_words"][0, layer_index]),
-            cycles=float(step["cycles"][0, layer_index]),
-        )
-        result.steps.append(
-            StepResult(
-                layer_name=geometry.names[layer_index],
-                step=kind,
-                compute_cycles=float(step["compute"][0, layer_index]),
-                dram_cycles=float(step["dram_cycles"][0, layer_index]),
-                cycles=events.cycles,
-                events=events,
-                energy=energy_from_events(events, energy_model),
-            )
-        )
-
-    num_layers = geometry.num_layers
-    for index in range(num_layers):
-        append(StepKind.FORWARD, index)
-    for index in reversed(range(num_layers)):
-        append(StepKind.GTA, index)
-        append(StepKind.GTW, index)
-    return result
-
-
-def compare_workload_analytic(
-    spec: ModelSpec,
-    densities: Mapping[str, LayerDensities],
-    sparse_config: ArchConfig | None = None,
-    baseline_config: ArchConfig | None = None,
-    energy_model: EnergyModel | None = None,
-) -> WorkloadResult:
-    """Analytic-tier counterpart of :func:`repro.sim.runner.compare_workload`."""
-    sparse_config = sparse_config if sparse_config is not None else sparsetrain_config()
-    baseline_config = (
-        baseline_config if baseline_config is not None else dense_baseline_config()
-    )
-    comparison = ComparisonResult(
-        workload=f"{spec.name}/{spec.dataset}",
-        sparsetrain=analytic_simulation_result(
-            spec, densities, sparse_config, energy_model, sparse=True
-        ),
-        baseline=analytic_simulation_result(
-            spec, None, baseline_config, energy_model, sparse=False
-        ),
-    )
-    return WorkloadResult(spec=spec, densities=dict(densities), comparison=comparison)
-
-
-def run_workload_jobs_analytic(jobs: Sequence[WorkloadJob]) -> list[WorkloadResult]:
-    """Evaluate fig8/fig9-style workload jobs at the analytic tier."""
-    results = [
-        compare_workload_analytic(
-            job.spec,
-            job.densities,
-            sparse_config=job.sparse_config,
-            baseline_config=job.baseline_config,
-            energy_model=job.energy_model,
-        )
-        for job in jobs
-    ]
-    metrics().counter("analytic.points_evaluated").inc(len(results))
-    return results
-
-
-def evaluate_point_analytic(point: DesignPoint) -> EvaluationRecord:
-    """Single-point convenience wrapper over :func:`evaluate_points_analytic`."""
-    return evaluate_points_analytic([point])[0]
-
-
 __all__ = [
     "AnalyticComparison",
     "AnalyticMetrics",
@@ -984,13 +725,8 @@ __all__ = [
     "EnergyGrid",
     "LayerGeometry",
     "analytic_point_key",
-    "analytic_simulation_result",
-    "area_mm2_batch",
     "compare_batch",
-    "compare_workload_analytic",
     "estimate_batch",
-    "evaluate_point_analytic",
     "evaluate_points_analytic",
-    "run_workload_jobs_analytic",
     "workload_geometry",
 ]

@@ -8,10 +8,14 @@ enforceable bounds.
 
 Error-bound policy
 ------------------
-Both paths compute the same closed-form expected values; the only admissible
-difference is floating-point summation order (numpy reductions vs Python-loop
-accumulation).  The default bound is therefore **1e-9 relative error on
-every metric** — not a modelling tolerance but a numerical-noise ceiling.
+Both paths evaluate the same closed-form formulas — one definition each,
+called on scalars by the simulator and on numpy columns by the analytic
+tier.  The only admissible differences are floating-point ones: summation
+order (numpy reductions vs Python-loop accumulation, energy charged on
+totals vs per step) and numpy's vectorized ``pow`` vs libm's, which differ
+in the last ulp for a few percent of the zero-skipping factors.  The default
+bound is therefore **1e-9 relative error on every metric** — not a
+modelling tolerance but a numerical-noise ceiling.
 Any violation means the two implementations have diverged structurally and
 must be treated as a bug, never widened away.  CI runs the smoke scale of
 this experiment and fails on ``payload["ok"] == False``.

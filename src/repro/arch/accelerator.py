@@ -23,6 +23,8 @@ and Fig. 9 make.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.arch.buffer import GlobalBuffer
 from repro.arch.config import ArchConfig
 from repro.arch.dram import DRAM
@@ -40,7 +42,21 @@ from repro.dataflow.instructions import (
     StepInstruction,
     StoreOutputInstruction,
 )
-from repro.models.spec import ConvLayerSpec
+
+if TYPE_CHECKING:
+    from repro.analytic.model import ArchGrid
+
+
+def compute_cycles(counts: StepCounts, config: ArchConfig | ArchGrid) -> float:
+    """Cycles the PE array needs for one step (no DRAM stalls).
+
+    Scalar for one configuration; with an ``ArchGrid`` of per-point columns
+    and columnar counts it evaluates a whole design grid at once.
+    """
+    operand_rate = config.num_pes * config.pe_utilization
+    work = counts.processed_operands / operand_rate
+    weight_reload = counts.weight_loads * config.weight_reload_overhead / config.num_pes
+    return work + weight_reload + config.sync_cycles_per_layer
 
 
 class AcceleratorSimulator:
@@ -52,30 +68,9 @@ class AcceleratorSimulator:
         self.buffer = GlobalBuffer(config.buffer_words)
         self.dram = DRAM(config.dram_words_per_cycle)
 
-    # ------------------------------------------------------------------
-    # Per-step models
-    # ------------------------------------------------------------------
-    def compute_cycles(self, counts: StepCounts) -> float:
-        """Cycles the PE array needs for one step (no DRAM stalls)."""
-        config = self.config
-        operand_rate = config.num_pes * config.pe_utilization
-        work = counts.processed_operands / operand_rate
-        weight_reload = (
-            counts.weight_loads * config.weight_reload_overhead / config.num_pes
-        )
-        return work + weight_reload + config.sync_cycles_per_layer
-
     def dram_cycles(self, operand_words: float, weight_words: float) -> float:
         """Cycles to stream the step's DRAM traffic at the sustained bandwidth."""
         return self.dram.transfer_cycles(operand_words + weight_words)
-
-    def _weight_tile_words(
-        self, layer: ConvLayerSpec, densities: LayerDensities | None
-    ) -> float:
-        """Weight DRAM words for one step, including the tiling penalty."""
-        densities = densities if densities is not None else LayerDensities.dense()
-        factor = self.buffer.weight_tiling_factor(layer, densities, self.config.sparse_dataflow)
-        return layer.weight_count * factor
 
     # ------------------------------------------------------------------
     # Program execution
@@ -143,7 +138,7 @@ class AcceleratorSimulator:
                 weight_words = pending_weight_words * tiling / self.config.batch_size
                 pending_weight_words = 0.0
 
-            compute = self.compute_cycles(counts)
+            compute = compute_cycles(counts, self.config)
             dram = self.dram_cycles(counts.dram_read_words, weight_words)
             cycles = max(compute, dram)
 

@@ -17,8 +17,12 @@ the same PE count and buffer are an (approximately) iso-area comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.arch.config import ArchConfig
+
+if TYPE_CHECKING:
+    from repro.analytic.model import ArchGrid
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,14 @@ _REG1_WORDS_PER_PE = 1
 _REG2_WORDS_PER_PE = 64
 
 
-def estimate_area(config: ArchConfig, model: AreaModel | None = None) -> AreaBreakdown:
-    """Estimate the silicon area of an accelerator configuration."""
+def estimate_area(
+    config: ArchConfig | ArchGrid, model: AreaModel | None = None
+) -> AreaBreakdown:
+    """Estimate the silicon area of an accelerator configuration.
+
+    Given an ``ArchGrid`` of per-point columns, every component of the
+    breakdown is the matching column of areas.
+    """
     model = model if model is not None else AreaModel()
     macs = config.num_pes * config.kernel_size
     register_words = config.num_pes * (

@@ -11,11 +11,15 @@ traffic multiplies accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dataflow.counts import LayerDensities
 from repro.models.spec import ConvLayerSpec
+
+if TYPE_CHECKING:
+    from repro.analytic.model import DensityGrid, LayerGeometry
 
 
 @dataclass
@@ -63,18 +67,8 @@ class GlobalBuffer:
         densities: LayerDensities,
         sparse: bool = True,
     ) -> float:
-        """Words needed to hold one sample's activations (input + output tile).
-
-        Sparse tensors are stored compressed (values plus packed offsets,
-        ~1.5 words per non-zero).
-        """
-        if sparse:
-            input_words = layer.input_size * densities.input_density * 1.5
-            output_words = layer.output_size * densities.output_density * 1.5
-        else:
-            input_words = float(layer.input_size)
-            output_words = float(layer.output_size)
-        return input_words + output_words
+        """Words needed to hold one sample's activations (see :func:`activation_words`)."""
+        return activation_words(layer, densities, sparse)
 
     def working_set_words(
         self,
@@ -92,21 +86,61 @@ class GlobalBuffer:
     def weight_tiling_factor(
         self, layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
     ) -> float:
-        """How many times a layer's weights are re-fetched because of tiling.
+        """:func:`weight_tiling_factor` of ``layer`` in this buffer."""
+        return float(weight_tiling_factor(layer, densities, self.capacity_words, sparse))
 
-        Weights are streamed through the buffer once as long as the layer's
-        activations fit next to a reasonable weight tile.  When the
-        activations themselves exceed the space left after reserving room for
-        weights (at most half the buffer), they are processed in tiles and the
-        weights must be re-read once per activation tile.  For the CIFAR and
-        ImageNet geometries evaluated in the paper the per-sample activations
-        comfortably fit the 386 KB buffer, so the factor is 1.0 — the paper's
-        "sufficient for storing data used in each iteration" assumption — but
-        the model degrades gracefully for buffer-size sweeps.
-        """
-        activation_words = self.activation_words(layer, densities, sparse)
-        weight_space = min(float(layer.weight_count), self.capacity_words / 2.0)
-        available = self.capacity_words - weight_space
-        if activation_words <= available:
-            return 1.0
-        return float(np.ceil(activation_words / available))
+
+# Like the step counts in :mod:`repro.dataflow.counts`, the two formulas below
+# evaluate on one layer spec or on the per-layer columns of a LayerGeometry
+# (with a DensityGrid and per-point capacity columns).
+
+
+def activation_words(
+    layer: ConvLayerSpec | LayerGeometry,
+    densities: LayerDensities | DensityGrid,
+    sparse: bool = True,
+):
+    """Words needed to hold one sample's activations (input + output tile).
+
+    Sparse tensors are stored compressed (values plus packed offsets,
+    ~1.5 words per non-zero).
+    """
+    if sparse:
+        input_words = layer.input_size * densities.input_density * 1.5
+        output_words = layer.output_size * densities.output_density * 1.5
+    else:
+        input_words = layer.input_size * 1.0
+        output_words = layer.output_size * 1.0
+    return input_words + output_words
+
+
+def weight_tiling_factor(
+    layer: ConvLayerSpec | LayerGeometry,
+    densities: LayerDensities | DensityGrid,
+    capacity_words,
+    sparse: bool = True,
+):
+    """How many times a layer's weights are re-fetched because of tiling.
+
+    Weights are streamed through the buffer once as long as the layer's
+    activations fit next to a reasonable weight tile.  When the
+    activations themselves exceed the space left after reserving room for
+    weights (at most half the buffer), they are processed in tiles and the
+    weights must be re-read once per activation tile.  For the CIFAR and
+    ImageNet geometries evaluated in the paper the per-sample activations
+    comfortably fit the 386 KB buffer, so the factor is 1.0 — the paper's
+    "sufficient for storing data used in each iteration" assumption — but
+    the model degrades gracefully for buffer-size sweeps.
+
+    Returns a numpy scalar for one layer and an array for columns.
+    """
+    activation = activation_words(layer, densities, sparse)
+    # Comparisons used as 0/1 factors pick ``min(weights, half)`` and the
+    # fits/tiles branch on one layer and on columns alike, at a fraction of
+    # what np.minimum/np.where cost on Python scalars (the simulator makes
+    # two calls per layer).
+    weights = layer.weight_count
+    half = capacity_words / 2.0
+    available = capacity_words - ((weights <= half) * weights + (weights > half) * half)
+    fits = activation <= available
+    return fits * 1.0 + (activation > available) * np.ceil(activation / available)

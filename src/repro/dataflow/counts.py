@@ -20,15 +20,27 @@ the row-operation counts uses the *group* fan-in/fan-out
 (:attr:`~repro.models.spec.ConvLayerSpec.group_in_channels` /
 ``group_out_channels``) rather than the full channel counts, so MAC, operand
 and weight accounting stays exact for MobileNet-style layers.
+
+The step formulas are written once and evaluate on scalars or numpy arrays
+alike: passed a :class:`~repro.analytic.model.LayerGeometry` (per-layer
+columns) and a :class:`~repro.analytic.model.DensityGrid` (``(points,
+layers)`` densities) instead of one layer spec and its densities, every
+:class:`StepCounts` field comes back as an array.  The analytic tier's
+million-point sweeps and the per-layer simulator therefore share one
+definition of every count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from repro.models.spec import ConvLayerSpec
 from repro.utils.validation import check_probability
+
+if TYPE_CHECKING:
+    from repro.analytic.model import DensityGrid, LayerGeometry
 
 
 class StepKind(Enum):
@@ -92,7 +104,8 @@ class StepCounts:
 
     ``processed_operands`` is the number of operand values a PE actually
     consumes (one per cycle in the PE model); ``weight_loads`` is the number
-    of kernel-row words loaded into Reg-1.
+    of kernel-row words loaded into Reg-1.  Counts of a columnar
+    (:class:`~repro.analytic.model.LayerGeometry`) call hold numpy arrays.
     """
 
     step: StepKind
@@ -122,9 +135,7 @@ OFFSET_PACKING = 2.0
 def compressed_words(values):
     """Buffer words for ``values`` non-zero values in compressed format.
 
-    Works element-wise on numpy arrays as well as scalars — the analytic
-    cost model (:mod:`repro.analytic.model`) evaluates it over whole design
-    grids and must agree with the scalar path bit for bit.
+    Scalar or element-wise over numpy arrays, like every formula here.
     """
     return values * (1.0 + 1.0 / OFFSET_PACKING)
 
@@ -132,19 +143,15 @@ def compressed_words(values):
 def skip_factor(density, kernel):
     """Probability that at least one of ``kernel`` aligned positions is live.
 
-    Scalar or element-wise over numpy arrays (see :func:`compressed_words`).
+    Scalar or element-wise over numpy arrays.
     """
     return 1.0 - (1.0 - density) ** kernel
 
 
-# Backwards-compatible private aliases (pre-analytic-tier call sites).
-_OFFSET_PACKING = OFFSET_PACKING
-_compressed_words = compressed_words
-_skip_factor = skip_factor
-
-
 def forward_counts(
-    layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
+    layer: ConvLayerSpec | LayerGeometry,
+    densities: LayerDensities | DensityGrid,
+    sparse: bool = True,
 ) -> StepCounts:
     """Event counts of the Forward step (SRC operations).
 
@@ -164,24 +171,24 @@ def forward_counts(
     d_in = densities.input_density if sparse else 1.0
     d_out = densities.output_density if sparse else 1.0
 
-    processed_per_op = (layer.in_width * d_in) if sparse else float(padded_width)
+    processed_per_op = (layer.in_width * d_in) if sparse else padded_width * 1.0
     processed = row_ops * processed_per_op
     macs = processed * kernel
     weight_loads = row_ops * kernel
 
     input_read_words = (
-        row_ops * _compressed_words(processed_per_op) if sparse else row_ops * padded_width
+        row_ops * compressed_words(processed_per_op) if sparse else row_ops * padded_width
     )
     weight_read_words = weight_loads
     psum_write_words = layer.out_channels * layer.out_height * layer.out_width
     output_write_words = (
-        _compressed_words(layer.output_size * d_out) if sparse else layer.output_size
+        compressed_words(layer.output_size * d_out) if sparse else layer.output_size
     )
     reg_accesses = 2.0 * macs + processed
 
     # Weight DRAM traffic is carried by the LoadWeights instruction the
     # compiler emits, so only operand traffic is counted here.
-    dram_read = _compressed_words(layer.input_size * d_in) if sparse else layer.input_size
+    dram_read = compressed_words(layer.input_size * d_in) if sparse else layer.input_size
     dram_write = output_write_words
 
     return StepCounts(
@@ -199,7 +206,9 @@ def forward_counts(
 
 
 def gta_counts(
-    layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
+    layer: ConvLayerSpec | LayerGeometry,
+    densities: LayerDensities | DensityGrid,
+    sparse: bool = True,
 ) -> StepCounts:
     """Event counts of the GTA step (MSRC operations).
 
@@ -211,31 +220,34 @@ def gta_counts(
     row_ops = layer.in_channels * layer.in_height * layer.group_out_channels * kernel
 
     d_grad = densities.grad_output_density if sparse else 1.0
-    d_mask = densities.mask_density if (sparse and layer.has_relu_mask) else 1.0
+    # Mask skipping only exists behind a ReLU.  The 0/1 product selects the
+    # mask density or 1.0 and works on a per-layer column as well.
+    relu = layer.has_relu_mask
+    d_mask = relu * densities.mask_density + (1 - relu) * 1.0 if sparse else 1.0
     d_dI = densities.grad_input_density if sparse else 1.0
 
     grad_row_nnz = layer.out_width * d_grad
-    processed_per_op = grad_row_nnz * _skip_factor(d_mask, kernel)
+    processed_per_op = grad_row_nnz * skip_factor(d_mask, kernel)
     processed = row_ops * processed_per_op
     macs = row_ops * grad_row_nnz * kernel * d_mask
     weight_loads = row_ops * kernel
 
     grad_read_words = (
-        row_ops * _compressed_words(grad_row_nnz) if sparse else row_ops * layer.out_width
+        row_ops * compressed_words(grad_row_nnz) if sparse else row_ops * layer.out_width
     )
     mask_read_words = (
-        row_ops * (layer.in_width * d_mask) / _OFFSET_PACKING if sparse and layer.has_relu_mask else 0.0
+        relu * row_ops * (layer.in_width * d_mask) / OFFSET_PACKING if sparse else 0.0
     )
     weight_read_words = weight_loads
     psum_write_words = layer.in_channels * layer.in_height * layer.in_width
     grad_input_write_words = (
-        _compressed_words(layer.input_size * d_dI) if sparse else layer.input_size
+        compressed_words(layer.input_size * d_dI) if sparse else layer.input_size
     )
     reg_accesses = 2.0 * macs + processed
 
     # Weight DRAM traffic is carried by the LoadWeights instruction.
     dram_read = (
-        _compressed_words(layer.output_size * d_grad) if sparse else layer.output_size
+        compressed_words(layer.output_size * d_grad) if sparse else layer.output_size
     )
     dram_write = grad_input_write_words
 
@@ -254,7 +266,9 @@ def gta_counts(
 
 
 def gtw_counts(
-    layer: ConvLayerSpec, densities: LayerDensities, sparse: bool = True
+    layer: ConvLayerSpec | LayerGeometry,
+    densities: LayerDensities | DensityGrid,
+    sparse: bool = True,
 ) -> StepCounts:
     """Event counts of the GTW step (OSRC operations).
 
@@ -271,7 +285,7 @@ def gtw_counts(
     d_grad = densities.grad_output_density if sparse else 1.0
 
     input_row_length = layer.in_width if sparse else padded_width
-    processed_per_op = input_row_length * d_in * _skip_factor(d_grad, kernel)
+    processed_per_op = input_row_length * d_in * skip_factor(d_grad, kernel)
     processed = row_ops * processed_per_op
     macs = row_ops * input_row_length * d_in * kernel * d_grad
     # OSRC caches dO values in Reg-1 instead of a weight row; count those loads
@@ -279,12 +293,12 @@ def gtw_counts(
     weight_loads = 0.0
 
     input_read_words = (
-        row_ops * _compressed_words(input_row_length * d_in)
+        row_ops * compressed_words(input_row_length * d_in)
         if sparse
         else row_ops * padded_width
     )
     grad_read_words = (
-        row_ops * _compressed_words(layer.out_width * d_grad)
+        row_ops * compressed_words(layer.out_width * d_grad)
         if sparse
         else row_ops * layer.out_width
     )
@@ -292,7 +306,7 @@ def gtw_counts(
     reg_accesses = 2.0 * macs + processed
 
     dram_read = (
-        _compressed_words(layer.input_size * d_in) + _compressed_words(layer.output_size * d_grad)
+        compressed_words(layer.input_size * d_in) + compressed_words(layer.output_size * d_grad)
         if sparse
         else layer.input_size + layer.output_size
     )

@@ -303,24 +303,19 @@ def _simulate_scalar(ctx: PipelineContext) -> list[WorkloadResult]:
     return [_run_job(job) for job in ctx["compile"]]
 
 
-def _simulate_analytic(ctx: PipelineContext) -> list[WorkloadResult]:
-    from repro.analytic.model import run_workload_jobs_analytic
-
-    return run_workload_jobs_analytic(ctx["compile"])
-
-
 def simulate_stage(ctx: PipelineContext) -> list[WorkloadResult]:
     """``simulate`` — both architectures per job, at the requested fidelity.
 
-    Shared by fig8 and fig9: the analytic tier materializes full per-(layer,
-    step) results, so the fig9 energy-breakdown report works on it unchanged.
+    Shared by fig8 and fig9.  The ``analytic`` tier runs the simulator path
+    too: both evaluate the same closed forms, and the reports slice the
+    per-(layer, step) results that only the simulator builds.
     """
     from repro.api import fidelity_dispatch
 
     return fidelity_dispatch(
         ctx,
         vectorized=_simulate_vectorized,
-        analytic=_simulate_analytic,
+        analytic=_simulate_vectorized,
         scalar=_simulate_scalar,
     )
 

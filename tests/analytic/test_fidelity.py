@@ -145,19 +145,28 @@ class TestTierEquivalence:
             assert a.energy_uj == pytest.approx(v.energy_uj, rel=1e-9)
             assert a.speedup == pytest.approx(v.speedup, rel=1e-9)
 
-    def test_fig8_analytic_tier(self):
+    @pytest.fixture(scope="class")
+    def density_cache_dir(self, tmp_path_factory):
+        # One density cache for every figure run: fig9 (and each tier) reads
+        # the densities the first fig8 run measured instead of retraining.
+        return tmp_path_factory.mktemp("densities")
+
+    def _assert_figure_tiers_identical(self, experiment: str, cache_dir) -> None:
+        # fig8/fig9 at ``analytic`` run the simulator path, so the payloads
+        # must match the default tier exactly, not to a tolerance.
         request = ExperimentRequest(
-            experiment="fig8",
+            experiment=experiment,
             workloads=(("AlexNet", "CIFAR-10"),),
             scale=ExperimentScale.smoke(),
             fidelity="analytic",
         )
-        vectorized = run_experiment(
-            request.with_fidelity("vectorized"),
-            options=RunOptions(use_cache=False),
-        )
-        analytic = run_experiment(request, options=RunOptions(use_cache=False))
-        va = vectorized.payload["workloads"]["AlexNet/CIFAR-10"]
-        aa = analytic.payload["workloads"]["AlexNet/CIFAR-10"]
-        for metric, value in va.items():
-            assert aa[metric] == pytest.approx(value, rel=1e-9)
+        options = RunOptions(cache_dir=cache_dir)
+        vectorized = run_experiment(request.with_fidelity("vectorized"), options=options)
+        analytic = run_experiment(request, options=options)
+        assert analytic.payload == vectorized.payload
+
+    def test_fig8_analytic_tier(self, density_cache_dir):
+        self._assert_figure_tiers_identical("fig8", density_cache_dir)
+
+    def test_fig9_analytic_tier(self, density_cache_dir):
+        self._assert_figure_tiers_identical("fig9", density_cache_dir)

@@ -1,29 +1,28 @@
 """The analytic tier must agree with the simulator to float-noise level.
 
-Both paths compute identical closed-form expected values; any disagreement
-beyond summation-order noise (~1e-12 relative) is a structural divergence.
+Both paths evaluate the same closed-form formulas; they differ only in float
+rounding (summation order, energy charged on totals), so any disagreement
+beyond 1e-9 relative is a structural divergence.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+import numpy as np
+
 from repro.analytic.model import (
+    ArchGrid,
+    DensityGrid,
+    LayerGeometry,
     analytic_point_key,
-    analytic_simulation_result,
-    compare_workload_analytic,
     evaluate_points_analytic,
-    run_workload_jobs_analytic,
 )
-from repro.explore.engine import DesignPoint, analytic_densities, evaluate_point
+from repro.arch.accelerator import compute_cycles
+from repro.arch.area import estimate_area
+from repro.dataflow.counts import LayerDensities, gta_counts
+from repro.explore.engine import DesignPoint, evaluate_point
 from repro.models.zoo import get_model_spec
-from repro.sim.runner import (
-    WorkloadJob,
-    compare_workload,
-    simulate_baseline,
-    simulate_sparsetrain,
-)
 
 RTOL = 1e-9
 
@@ -126,57 +125,34 @@ class TestAnalyticKeys:
         ]
 
 
-class TestMaterializedSimulationResult:
-    @pytest.fixture(scope="class")
-    def spec_and_densities(self):
-        spec = get_model_spec("AlexNet", "CIFAR-10")
-        return spec, analytic_densities(spec, 0.9)
+class TestSharedMachineFormulas:
+    """compute_cycles and estimate_area read an ArchGrid like an ArchConfig."""
 
-    def test_sparse_steps_match_simulator(self, spec_and_densities):
-        spec, densities = spec_and_densities
-        config = DesignPoint(model="AlexNet", dataset="CIFAR-10").sparse_config()
-        analytic = analytic_simulation_result(spec, densities, config)
-        simulated = simulate_sparsetrain(spec, densities, config)
-        assert len(analytic.steps) == len(simulated.steps)
-        for a, s in zip(analytic.steps, simulated.steps):
-            assert (a.layer_name, a.step) == (s.layer_name, s.step)
-            assert a.cycles == pytest.approx(s.cycles, rel=RTOL)
-            assert a.compute_cycles == pytest.approx(s.compute_cycles, rel=RTOL)
-            assert a.dram_cycles == pytest.approx(s.dram_cycles, rel=RTOL)
-            assert a.events.macs == pytest.approx(s.events.macs, rel=RTOL)
-            assert a.events.sram_words == pytest.approx(s.events.sram_words, rel=RTOL)
-            assert a.events.dram_words == pytest.approx(s.events.dram_words, rel=RTOL)
+    CONFIGS = [point.sparse_config() for point in POINTS] + [
+        point.baseline_config() for point in POINTS
+    ]
 
-    def test_baseline_steps_match_simulator(self, spec_and_densities):
-        spec, _ = spec_and_densities
-        config = DesignPoint(model="AlexNet", dataset="CIFAR-10").baseline_config()
-        analytic = analytic_simulation_result(spec, None, config, sparse=False)
-        simulated = simulate_baseline(spec, config)
-        assert analytic.total_cycles == pytest.approx(
-            simulated.total_cycles, rel=RTOL
+    def test_compute_cycles_columns_equal_per_config_calls(self):
+        spec = get_model_spec("MobileNetV1", "CIFAR-10")
+        geometry = LayerGeometry.from_spec(spec)
+        columnar = compute_cycles(
+            gta_counts(geometry, DensityGrid.dense()), ArchGrid.from_configs(self.CONFIGS)
         )
-        assert analytic.energy_uj == pytest.approx(simulated.energy_uj, rel=RTOL)
+        expected = [
+            [
+                compute_cycles(gta_counts(layer, LayerDensities.dense()), config)
+                for layer in spec.conv_layers
+            ]
+            for config in self.CONFIGS
+        ]
+        assert np.array_equal(columnar, np.asarray(expected))
 
-    def test_energy_fractions_match(self, spec_and_densities):
-        # Fig. 9 slices per-component energy; the analytic result must carry
-        # a real breakdown, not just totals.
-        spec, densities = spec_and_densities
-        analytic = compare_workload_analytic(spec, densities)
-        simulated = compare_workload(spec, densities)
-        fa = analytic.comparison.sparsetrain.energy_fractions()
-        fs = simulated.comparison.sparsetrain.energy_fractions()
-        for component in fs:
-            assert fa[component] == pytest.approx(fs[component], rel=1e-6)
-
-    def test_workload_jobs_front_end(self, spec_and_densities):
-        spec, densities = spec_and_densities
-        job = WorkloadJob(spec=spec, densities=densities)
-        (analytic,) = run_workload_jobs_analytic([job])
-        simulated = compare_workload(spec, densities)
-        assert analytic.speedup == pytest.approx(simulated.speedup, rel=RTOL)
-        assert analytic.energy_efficiency == pytest.approx(
-            simulated.energy_efficiency, rel=RTOL
-        )
+    def test_area_columns_equal_per_config_calls(self):
+        columnar = estimate_area(ArchGrid.from_configs(self.CONFIGS))
+        for index, config in enumerate(self.CONFIGS):
+            scalar = estimate_area(config)
+            assert columnar.total_mm2[index, 0] == scalar.total_mm2
+            assert columnar.ppu_mm2[index, 0] == scalar.ppu_mm2
 
 
 class TestObsCounters:

@@ -76,18 +76,6 @@ class TestHelperProperties:
         assert np.allclose(words, values * 1.5)
         assert compressed_words(0.0) == 0.0
 
-    def test_private_aliases_still_exported(self):
-        # Pre-analytic-tier call sites import the underscore names.
-        from repro.dataflow.counts import (
-            _compressed_words,
-            _skip_factor,
-            _OFFSET_PACKING,
-        )
-
-        assert _compressed_words is compressed_words
-        assert _skip_factor is skip_factor
-        assert _OFFSET_PACKING == 2.0
-
 
 class TestLayerCountProperties:
     def test_total_macs_additive_across_steps(self, layer, rng):
