@@ -8,14 +8,17 @@ executes and persists experiments.
   keyed by :attr:`ExperimentRequest.content_hash` with states
   ``queued/running/done/failed/cancelled``, per-stage timings, JSON results,
   and crash recovery.
-* :class:`Scheduler` (:mod:`repro.serve.scheduler`) — drains the queue with
-  configurable concurrency, priority + FIFO ordering, hash-level dedup,
-  retry-with-backoff, and graceful drain on SIGINT/SIGTERM.
+* :class:`Scheduler` (:mod:`repro.serve.scheduler`) — drains the queue on
+  ``concurrency`` :class:`Worker` threads (priority + FIFO ordering,
+  hash-level dedup, retry-with-backoff, graceful drain on SIGINT/SIGTERM),
+  reaps expired leases on one reaper thread, and owns the events feed.
 * :class:`ExperimentServer` (:mod:`repro.serve.http_api`) — stdlib
   ``ThreadingHTTPServer`` JSON API (``POST /jobs``, ``GET /jobs[/<id>]``,
   ``DELETE /jobs/<id>``, ``GET /healthz``).
-* :class:`Worker` (:mod:`repro.serve.worker`) — one ``repro worker`` process:
-  lease-claim, execute, heartbeat, reap expired leases fleet-wide.
+* :class:`Worker` (:mod:`repro.serve.worker`) — the one job loop: lease-claim,
+  heartbeat, execute, record the outcome; runs as a ``repro worker``
+  process (which also reaps expired leases fleet-wide) or as a scheduler
+  thread.
 * :class:`WorkerSupervisor` (:mod:`repro.serve.supervisor`) — spawns and
   respawns a fleet of worker processes for ``repro serve --fleet N``.
 * :class:`ServeClient` (:mod:`repro.serve.client`) — the urllib client the

@@ -205,6 +205,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
     def _request_shutdown(signum: int, frame: Any) -> None:
         stop.set()
+        worker.wake()
 
     previous = {
         sig: signal.signal(sig, _request_shutdown)

@@ -1,13 +1,15 @@
 """The job scheduler: drain the queue through the shared pipeline runner.
 
-A :class:`Scheduler` owns a :class:`~repro.serve.store.JobStore` and a small
-team of worker threads.  Each worker atomically *leases* the next due job
-(priority first, FIFO within a priority, retry-backoff gates respected),
-executes it through :func:`repro.api.run_experiment` — i.e. through the
-exact registered pipeline the CLI runs, including the shared
-:class:`~repro.api.Runner` process-pool fan-out and the persistent density /
-sweep disk caches, so a job whose stages were computed before short-circuits
-to cached artifacts — and persists the outcome.
+A :class:`Scheduler` owns a :class:`~repro.serve.store.JobStore` and runs
+``concurrency`` :class:`~repro.serve.worker.Worker` threads over it — the
+same claim/heartbeat/execute/outcome loop a ``repro worker`` process runs.
+Each worker atomically *leases* the next due job (priority first, FIFO
+within a priority, retry-backoff gates respected), executes it through
+:func:`repro.api.run_experiment` — i.e. through the exact registered
+pipeline the CLI runs, including the shared :class:`~repro.api.Runner`
+process-pool fan-out and the persistent density / sweep disk caches, so a
+job whose stages were computed before short-circuits to cached artifacts —
+and persists the outcome.
 
 What the scheduler guarantees:
 
@@ -17,17 +19,18 @@ What the scheduler guarantees:
 * **retry with exponential backoff** — a failed execution requeues the job
   gated behind ``retry_base_delay * 2**(execution-1)`` seconds until the
   job's retry budget (``max_retries``) is spent, then fails terminally.
-* **lease liveness** — a background *keeper* thread heartbeats every
-  in-flight lease well inside its TTL and periodically reaps expired
-  leases fleet-wide, so jobs leased by a SIGKILL'd worker **process**
-  (this one or any `repro worker` sharing the store) requeue without
-  operator intervention.
+* **lease liveness** — each worker thread heartbeats its in-flight lease
+  well inside its TTL, and one *reaper* thread reaps expired leases
+  fleet-wide every ``reap_interval``, so jobs leased by a SIGKILL'd worker
+  **process** (this one or any `repro worker` sharing the store) requeue
+  without operator intervention.
 * **graceful drain** — :meth:`Scheduler.stop` lets every claimed job finish
   (pipelines are not interrupted mid-stage), then joins the workers; jobs
   still queued stay queued in the store and survive to the next start.
-* **live progress** — each completed pipeline stage is streamed into the job
-  row through the :class:`~repro.api.PipelineContext` ``on_stage`` hook, and
-  into the process-local :class:`JobEvents` long-poll feed.
+* **live progress** — each worker feeds the process-local
+  :class:`JobEvents` long-poll log (``started``, every pipeline stage via
+  the :class:`~repro.api.PipelineContext` ``on_stage`` hook, the outcome),
+  and the reaper adds ``requeued`` / ``quarantined``.
 
 With ``concurrency=0`` the scheduler runs *front-end only*: it submits,
 reaps, and serves events, while execution belongs entirely to external
@@ -36,17 +39,13 @@ worker processes (the ``repro serve --fleet N`` topology).
 
 from __future__ import annotations
 
-import inspect
 import os
 import socket
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
-from repro.api.request import ExperimentRequest, ExperimentResult, RunOptions
-from repro.api.stages import DeadlineExceeded
-from repro.faults import fault_point
-from repro.obs import metrics, trace_context, trace_span
+from repro.api.request import ExperimentRequest, RunOptions
 from repro.serve.store import (
     DEFAULT_LEASE_TTL,
     DEFAULT_REQUEUE_CAP,
@@ -54,89 +53,17 @@ from repro.serve.store import (
     Job,
     JobStore,
 )
-
-# Execution callable signature: (request, options, on_stage) -> result.
-# Implementations may accept an optional fourth positional argument — the
-# absolute epoch-seconds ``deadline`` — which :func:`call_execute` passes
-# only when the callable's signature takes it, so three-argument test
-# doubles keep working unchanged.
-ExecuteFn = Callable[
-    [ExperimentRequest, RunOptions, Callable[[str, float], None]],
-    ExperimentResult,
-]
-
-
-def _deadline_style(execute: Callable[..., Any]) -> str | None:
-    """How ``execute`` takes a deadline: "positional", "keyword", or None."""
-    try:
-        parameters = inspect.signature(execute).parameters.values()
-    except (TypeError, ValueError):  # builtins/C callables: assume modern
-        return "positional"
-    positional = [
-        p
-        for p in parameters
-        if p.kind
-        in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)
-    ]
-    if any(p.kind == p.VAR_POSITIONAL for p in positional):
-        return "positional"
-    if len(positional) >= 4:
-        return "positional"
-    if "deadline" in {
-        p.name for p in parameters if p.kind == p.KEYWORD_ONLY
-    }:
-        return "keyword"
-    return None
-
-
-def _accepts_deadline(execute: Callable[..., Any]) -> bool:
-    return _deadline_style(execute) is not None
-
-
-def call_execute(
-    execute: Callable[..., Any],
-    request: ExperimentRequest,
-    options: RunOptions,
-    on_stage: Callable[[str, float], None],
-    deadline: float | None,
-) -> ExperimentResult:
-    """Invoke an :data:`ExecuteFn`, passing ``deadline`` only if accepted."""
-    if deadline is not None:
-        style = _deadline_style(execute)
-        if style == "positional":
-            return execute(request, options, on_stage, deadline)
-        if style == "keyword":
-            return execute(request, options, on_stage, deadline=deadline)
-    return execute(request, options, on_stage)
-
-
-def plan_retry(
-    job: Job,
-    base_delay: float,
-    max_delay: float,
-    now: float | None = None,
-) -> float | None:
-    """The requeue-at timestamp for a failed execution, or ``None``.
-
-    ``None`` means the retry budget of the job's current incarnation is
-    spent and the failure is terminal.  Shared by the in-process scheduler
-    and the standalone :class:`~repro.serve.worker.Worker` so both halves of
-    the fleet apply identical backoff policy.
-    """
-    attempts = job.executions_this_incarnation
-    if attempts > job.max_retries:
-        return None
-    delay = min(max_delay, base_delay * (2 ** (attempts - 1)))
-    return (time.time() if now is None else now) + delay
+from repro.serve.worker import ExecuteFn, Worker, reap_and_report
 
 
 class JobEvents:
     """In-memory per-job progress event log with long-poll support.
 
-    Fed by the scheduler as jobs start, complete stages (the pipeline's
-    ``on_stage`` hook) and finish; drained by ``GET /jobs/<id>/events``.
-    Events are monotonically sequence-numbered per job, so a client resumes
-    with ``since=<last seen seq>`` and never misses or re-reads one.  The log
+    Fed by the scheduler's worker threads as jobs start, complete stages
+    (the pipeline's ``on_stage`` hook) and finish, and by its reaper;
+    drained by ``GET /jobs/<id>/events``.  Events are monotonically
+    sequence-numbered per job, so a client resumes with ``since=<last seen
+    seq>`` and never misses or re-reads one.  The log
     is bounded three ways — per job (a ring of ``per_job_limit`` events),
     per process (at most ``max_jobs`` tracked jobs, oldest evicted first),
     and in time (a job marked terminal is forgotten ``terminal_grace``
@@ -235,19 +162,6 @@ class JobEvents:
             self._terminal.pop(job_id, None)
 
 
-def _default_execute(
-    request: ExperimentRequest,
-    options: RunOptions,
-    on_stage: Callable[[str, float], None],
-    deadline: float | None = None,
-) -> ExperimentResult:
-    from repro.api.registry import run_experiment
-
-    return run_experiment(
-        request, options=options, on_stage=on_stage, deadline=deadline
-    )
-
-
 class Scheduler:
     """Concurrency-bounded queue drainer over a :class:`JobStore`.
 
@@ -271,8 +185,8 @@ class Scheduler:
         How long an idle worker sleeps between queue checks; submissions
         wake the workers immediately, so this only bounds retry-gate latency.
     lease_ttl / heartbeat_interval:
-        Lease duration stamped on claims and how often the keeper thread
-        extends in-flight leases (default: a third of the TTL).  Expired
+        Lease duration stamped on claims and how often each worker thread
+        extends its in-flight lease (default: a third of the TTL).  Expired
         leases anywhere in the fleet are reaped every ``lease_ttl / 2``.
     quarantine_after:
         The crash-loop bound the reaper applies: a job whose lease expired
@@ -316,27 +230,20 @@ class Scheduler:
             else max(0.05, lease_ttl / 3.0)
         )
         self.reap_interval = max(self.heartbeat_interval, lease_ttl / 2.0)
-        self._execute = execute if execute is not None else _default_execute
+        self._execute = execute
+        self._workers: list[Worker] = []
         self._threads: list[threading.Thread] = []
-        self._keeper: threading.Thread | None = None
+        self._reaper: threading.Thread | None = None
         self._stop = threading.Event()
-        self._wake = threading.Condition()
         self._started = False
         self.events = JobEvents()
         self.worker_id_base = f"{socket.gethostname()}:{os.getpid()}"
-        # Per-worker liveness, guarded by its own lock (worker threads write
-        # concurrently — the old single unsynchronized ``last_dequeue_at``
-        # scalar raced here).
-        self._state_lock = threading.Lock()
-        self._worker_state: dict[str, dict[str, Any]] = {}
-        # In-flight leases the keeper thread must heartbeat.
-        self._inflight: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> int:
-        """Recover interrupted jobs and start the worker + keeper threads.
+        """Recover interrupted jobs and start the worker + reaper threads.
 
         Returns the number of jobs requeued by crash recovery (expired or
         missing leases only — jobs leased by live external workers are not
@@ -346,34 +253,50 @@ class Scheduler:
             raise RuntimeError("scheduler already started")
         recovered = self.store.recover(quarantine_after=self.quarantine_after)
         self._stop.clear()
-        self._threads = []
-        with self._state_lock:
-            self._worker_state = {}
-        for index in range(self.concurrency):
-            worker_id = f"{self.worker_id_base}:t{index}"
-            with self._state_lock:
-                self._worker_state[worker_id] = {
-                    "last_dequeue_at": None,
-                    "current_job": None,
-                    "jobs_done": 0,
-                }
-            self.store.register_worker(worker_id)
-            self._threads.append(
-                threading.Thread(
-                    target=self._worker_loop,
-                    args=(worker_id,),
-                    name=f"repro-serve-worker-{index}",
-                    daemon=True,
-                )
+        self._workers = [
+            Worker(
+                self.store,
+                self.options,
+                worker_id=f"{self.worker_id_base}:t{index}",
+                lease_ttl=self.lease_ttl,
+                heartbeat_interval=self.heartbeat_interval,
+                poll_interval=self.poll_interval,
+                reap=False,
+                retry_base_delay=self.retry_base_delay,
+                retry_max_delay=self.retry_max_delay,
+                quarantine_after=self.quarantine_after,
+                execute=self._execute,
+                events=self.events,
             )
+            for index in range(self.concurrency)
+        ]
+        self._threads = [
+            threading.Thread(
+                target=worker.run,
+                kwargs={"stop": self._stop},
+                name=f"repro-serve-worker-{index}",
+                daemon=True,
+            )
+            for index, worker in enumerate(self._workers)
+        ]
         for thread in self._threads:
             thread.start()
-        self._keeper = threading.Thread(
-            target=self._keeper_loop, name="repro-serve-keeper", daemon=True
+        self._reaper = threading.Thread(
+            target=self._reap_loop, name="repro-serve-reaper", daemon=True
         )
-        self._keeper.start()
+        self._reaper.start()
         self._started = True
         return recovered
+
+    def _reap_loop(self) -> None:
+        while not self._stop.wait(self.reap_interval):
+            reap_and_report(
+                self.store, self.quarantine_after, events=self.events
+            )
+
+    def _wake_workers(self) -> None:
+        for worker in self._workers:
+            worker.wake()
 
     def stop(self, timeout: float | None = None) -> bool:
         """Graceful drain: finish claimed jobs, keep the rest queued.
@@ -381,8 +304,7 @@ class Scheduler:
         Returns ``True`` when every worker joined within ``timeout``.
         """
         self._stop.set()
-        with self._wake:
-            self._wake.notify_all()
+        self._wake_workers()
         deadline = None if timeout is None else time.monotonic() + timeout
         drained = True
         for thread in self._threads:
@@ -391,17 +313,13 @@ class Scheduler:
             )
             thread.join(remaining)
             drained = drained and not thread.is_alive()
-        if self._keeper is not None:
-            self._keeper.join(
+        if self._reaper is not None:
+            self._reaper.join(
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
         if drained:
-            with self._state_lock:
-                worker_ids = list(self._worker_state)
-            for worker_id in worker_ids:
-                self.store.deregister_worker(worker_id)
             self._threads = []
-            self._keeper = None
+            self._reaper = None
             self._started = False
         return drained
 
@@ -421,21 +339,23 @@ class Scheduler:
     @property
     def last_dequeue_at(self) -> float | None:
         """The most recent claim across all worker threads."""
-        with self._state_lock:
-            stamps = [
-                state["last_dequeue_at"]
-                for state in self._worker_state.values()
-                if state["last_dequeue_at"] is not None
-            ]
+        stamps = [
+            worker.last_dequeue_at
+            for worker in self._workers
+            if worker.last_dequeue_at is not None
+        ]
         return max(stamps) if stamps else None
 
     def worker_liveness(self) -> dict[str, dict[str, Any]]:
         """Per-worker-thread liveness: last dequeue, current job, tallies."""
-        with self._state_lock:
-            return {
-                worker_id: dict(state)
-                for worker_id, state in self._worker_state.items()
+        return {
+            worker.worker_id: {
+                "last_dequeue_at": worker.last_dequeue_at,
+                "current_job": worker.current_job,
+                "jobs_done": worker.jobs_executed,
             }
+            for worker in self._workers
+        }
 
     # ------------------------------------------------------------------
     # Submission / waiting / cancellation
@@ -458,8 +378,7 @@ class Scheduler:
             deadline_s=deadline_s,
             trace_id=trace_id,
         )
-        with self._wake:
-            self._wake.notify_all()
+        self._wake_workers()
         return job, deduped
 
     def requeue(self, job_id: str) -> tuple[Job, bool]:
@@ -468,8 +387,7 @@ class Scheduler:
         job, requeued = self.store.requeue(job_id)
         if requeued:
             self.events.emit(job.id, "requeued", reason="manual")
-            with self._wake:
-                self._wake.notify_all()
+            self._wake_workers()
         return job, requeued
 
     def cancel(self, job_id: str) -> tuple[Job, bool]:
@@ -504,169 +422,5 @@ class Scheduler:
                 )
             time.sleep(poll)
 
-    # ------------------------------------------------------------------
-    # Worker loop
-    # ------------------------------------------------------------------
-    def _worker_loop(self, worker_id: str) -> None:
-        while not self._stop.is_set():
-            job = self.store.claim_next(
-                worker_id=worker_id, lease_ttl=self.lease_ttl
-            )
-            if job is None:
-                with self._wake:
-                    if not self._stop.is_set():
-                        self._wake.wait(self.poll_interval)
-                continue
-            with self._state_lock:
-                state = self._worker_state[worker_id]
-                state["last_dequeue_at"] = time.time()
-                state["current_job"] = job.id
-                self._inflight[worker_id] = job.id
-            try:
-                self._run_job(job, worker_id)
-            finally:
-                with self._state_lock:
-                    self._inflight.pop(worker_id, None)
-                    state = self._worker_state[worker_id]
-                    state["current_job"] = None
-                    state["jobs_done"] += 1
 
-    def _keeper_loop(self) -> None:
-        """Heartbeat in-flight leases; reap expired leases fleet-wide."""
-        next_reap = time.monotonic() + self.reap_interval
-        while not self._stop.wait(self.heartbeat_interval):
-            now = time.time()
-            with self._state_lock:
-                inflight = dict(self._inflight)
-                worker_ids = list(self._worker_state)
-            for worker_id, job_id in inflight.items():
-                self.store.heartbeat(
-                    job_id, worker_id, lease_ttl=self.lease_ttl, now=now
-                )
-            for worker_id in worker_ids:
-                self.store.worker_heartbeat(
-                    worker_id, current_job=inflight.get(worker_id), now=now
-                )
-            if time.monotonic() >= next_reap:
-                outcome = self.store.reap_expired(
-                    now=now, quarantine_after=self.quarantine_after
-                )
-                for job_id in outcome.requeued:
-                    self.events.emit(job_id, "requeued", reason="lease expired")
-                for job_id in outcome.quarantined:
-                    self.events.emit(
-                        job_id,
-                        "quarantined",
-                        reason=(
-                            f"lease expired more than {self.quarantine_after}"
-                            " times (crash loop?)"
-                        ),
-                    )
-                    self.events.mark_terminal(job_id)
-                next_reap = time.monotonic() + self.reap_interval
-
-    def _run_job(self, job: Job, worker_id: str) -> None:
-        def on_stage(stage: str, seconds: float) -> None:
-            self.store.record_stage(job.id, stage, seconds)
-            self.events.emit(job.id, "stage", stage=stage, seconds=seconds)
-
-        self.events.emit(
-            job.id,
-            "started",
-            execution=job.executions,
-            experiment=job.experiment,
-            worker=worker_id,
-        )
-        # ``started_at`` was stamped by the claim, so the deadline covers
-        # execution only — queue wait does not eat a job's budget.
-        deadline = (
-            None
-            if job.deadline_s is None or job.started_at is None
-            else job.started_at + job.deadline_s
-        )
-        try:
-            # The whole execution runs under the job's trace context, so
-            # every span below (pipeline, stages, the execute wrapper) is
-            # stamped with the ids a cross-process merge needs.
-            with trace_context(
-                trace_id=job.trace_id, job_id=job.id, worker_id=worker_id
-            ):
-                fault_point(
-                    "worker.claim",
-                    job=job.id,
-                    experiment=job.experiment,
-                    execution=job.executions,
-                )
-                with trace_span(
-                    "scheduler.execute",
-                    experiment=job.experiment,
-                    execution=job.executions,
-                ):
-                    result = call_execute(
-                        self._execute,
-                        job.request(),
-                        self.options,
-                        on_stage,
-                        deadline,
-                    )
-        except Exception as exc:  # noqa: BLE001 — job isolation boundary
-            self._record_failure(job, exc, worker_id)
-        except BaseException:
-            # Interrupt during drain: put the job back so the next start
-            # (or the lease reaper) re-runs it, then unwind.
-            self.store.mark_failed(
-                job.id,
-                "interrupted during shutdown",
-                retry_at=time.time(),
-                worker_id=worker_id,
-            )
-            self.events.emit(job.id, "interrupted")
-            raise
-        else:
-            finished = self.store.mark_done(job.id, result, worker_id=worker_id)
-            if finished.worker_id != worker_id:
-                # Reaped while we ran: the owner guard discarded the result
-                # (``mark_done`` counted ``jobs.lease_lost``) and the job
-                # belongs to another execution, which reports its own end.
-                return
-            self.events.emit(job.id, "done")
-            self.events.mark_terminal(job.id)
-
-    def _record_failure(self, job: Job, exc: Exception, worker_id: str) -> None:
-        error = f"{type(exc).__name__}: {exc}"
-        # ``claim_next`` already counted this execution; the budget is scoped
-        # to the current incarnation (a resubmitted failed job retries with a
-        # fresh budget, not one depleted by its history).  A blown deadline
-        # is terminal regardless of budget: retrying an over-budget job just
-        # blows the same budget again and wastes another worker-deadline.
-        if isinstance(exc, DeadlineExceeded):
-            metrics().counter("serve.deadline_exceeded").inc()
-            self.store.mark_failed(job.id, error, worker_id=worker_id)
-            self.events.emit(job.id, "failed", error=error, deadline=True)
-            self.events.mark_terminal(job.id)
-            return
-        retry_at = plan_retry(job, self.retry_base_delay, self.retry_max_delay)
-        if retry_at is not None:
-            self.store.mark_failed(
-                job.id, error, retry_at=retry_at, worker_id=worker_id
-            )
-            metrics().counter("serve.retries").inc()
-            self.events.emit(
-                job.id,
-                "retry_scheduled",
-                error=error,
-                delay=max(0.0, retry_at - time.time()),
-            )
-        else:
-            self.store.mark_failed(job.id, error, worker_id=worker_id)
-            self.events.emit(job.id, "failed", error=error)
-            self.events.mark_terminal(job.id)
-
-
-__all__ = [
-    "ExecuteFn",
-    "JobEvents",
-    "Scheduler",
-    "call_execute",
-    "plan_retry",
-]
+__all__ = ["JobEvents", "Scheduler"]

@@ -1,12 +1,18 @@
-"""One lease-based worker process draining a shared :class:`JobStore`.
+"""The one lease-based job loop over a shared :class:`JobStore`.
 
-``repro worker --db serve.db`` is the execution half of the distributed
-service: any number of these processes (on any machine that can reach the
-SQLite file) lease jobs from one store, run them through the registered
-pipelines, and heartbeat while they work.  The supervisor process
-(``repro serve --fleet N``) owns the HTTP front end and spawns/respawns
-workers, but workers are also usable bare — point several at one database
-and they coordinate purely through the store's lease transactions.
+:class:`Worker` is the only code that claims, heartbeats, executes and
+records the outcome of a job.  It runs in two places:
+
+* ``repro worker --db serve.db`` is the execution half of the distributed
+  service: any number of these processes (on any machine that can reach the
+  SQLite file) lease jobs from one store, run them through the registered
+  pipelines, and heartbeat while they work.  The supervisor process
+  (``repro serve --fleet N``) owns the HTTP front end and spawns/respawns
+  workers, but workers are also usable bare — point several at one database
+  and they coordinate purely through the store's lease transactions.
+* In-process ``repro serve`` runs ``concurrency`` Worker *threads* inside
+  the :class:`~repro.serve.scheduler.Scheduler`, each with the scheduler's
+  :class:`~repro.serve.scheduler.JobEvents` log as its ``events`` hook.
 
 Crash-recovery contract:
 
@@ -29,13 +35,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.api.request import ExperimentRequest, ExperimentResult, RunOptions
 from repro.api.stages import DeadlineExceeded
 from repro.faults import fault_point
 from repro.obs import metrics, trace_context, trace_span
-from repro.serve.scheduler import ExecuteFn, call_execute, plan_retry
 from repro.serve.store import (
     DEFAULT_LEASE_TTL,
     DEFAULT_REQUEUE_CAP,
@@ -44,18 +50,79 @@ from repro.serve.store import (
     default_worker_id,
 )
 
+if TYPE_CHECKING:
+    from repro.serve.scheduler import JobEvents
+
+# Execution callable signature: (request, options, on_stage, deadline) ->
+# result, where ``deadline`` is the job's absolute epoch-seconds budget or
+# ``None`` when it has none.
+ExecuteFn = Callable[
+    [ExperimentRequest, RunOptions, Callable[[str, float], None], float | None],
+    ExperimentResult,
+]
+
 
 def _default_execute(
     request: ExperimentRequest,
     options: RunOptions,
     on_stage: Callable[[str, float], None],
-    deadline: float | None = None,
+    deadline: float | None,
 ) -> ExperimentResult:
     from repro.api.registry import run_experiment
 
     return run_experiment(
         request, options=options, on_stage=on_stage, deadline=deadline
     )
+
+
+def plan_retry(
+    job: Job,
+    base_delay: float,
+    max_delay: float,
+    now: float | None = None,
+) -> float | None:
+    """The requeue-at timestamp for a failed execution, or ``None``.
+
+    ``None`` means the retry budget of the job's current incarnation is
+    spent and the failure is terminal.
+    """
+    attempts = job.executions_this_incarnation
+    if attempts > job.max_retries:
+        return None
+    delay = min(max_delay, base_delay * (2 ** (attempts - 1)))
+    return (time.time() if now is None else now) + delay
+
+
+def reap_and_report(
+    store: JobStore,
+    quarantine_after: int,
+    who: str = "reaper",
+    log: Callable[[str], None] | None = None,
+    events: JobEvents | None = None,
+) -> None:
+    """One fleet-wide reaper pass: requeue or quarantine lapsed leases.
+
+    Run by every reaping :class:`Worker` and by the scheduler's reaper
+    thread; with ``events`` each transition also reaches the long-poll feed.
+    """
+    log = log if log is not None else (lambda message: None)
+    outcome = store.reap_expired(quarantine_after=quarantine_after)
+    for job_id in outcome.requeued:
+        log(f"{who}: requeued expired lease on job {job_id[:12]}")
+        if events is not None:
+            events.emit(job_id, "requeued", reason="lease expired")
+    for job_id in outcome.quarantined:
+        log(f"{who}: quarantined crash-looping job {job_id[:12]}")
+        if events is not None:
+            events.emit(
+                job_id,
+                "quarantined",
+                reason=(
+                    f"lease expired more than {quarantine_after}"
+                    " times (crash loop?)"
+                ),
+            )
+            events.mark_terminal(job_id)
 
 
 class Worker:
@@ -75,17 +142,20 @@ class Worker:
         the fleet's failure-detection latency: a dead worker's jobs requeue
         at most one TTL + one reap interval after its last heartbeat.
     poll_interval:
-        Idle sleep between queue checks.
+        Idle sleep between queue checks; :meth:`wake` cuts it short.
     reap:
         Whether this worker also reaps expired leases fleet-wide (on by
         default — any surviving worker rescues a dead one's jobs even
         without a supervisor).
     retry_base_delay / retry_max_delay:
-        Backoff policy for failed executions (same as the scheduler's).
+        Backoff policy for failed executions.
     quarantine_after:
         Crash-loop bound applied by this worker's reaper passes.
     execute:
         The execution callable, replaceable in tests.
+    events:
+        Optional :class:`~repro.serve.scheduler.JobEvents` log fed with
+        each job's ``started`` / ``stage`` / outcome events.
     """
 
     def __init__(
@@ -102,6 +172,7 @@ class Worker:
         quarantine_after: int = DEFAULT_REQUEUE_CAP,
         execute: ExecuteFn | None = None,
         log: Callable[[str], None] | None = None,
+        events: JobEvents | None = None,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be > 0, got {lease_ttl}")
@@ -122,7 +193,23 @@ class Worker:
         self.retry_max_delay = retry_max_delay
         self._execute = execute if execute is not None else _default_execute
         self._log = log if log is not None else (lambda message: None)
+        self.events = events
         self.jobs_executed = 0
+        self.last_dequeue_at: float | None = None
+        self.current_job: str | None = None
+        self._wake = threading.Event()
+
+    def wake(self) -> None:
+        """End the current idle wait now (new work, or a stop request)."""
+        self._wake.set()
+
+    def _emit(
+        self, job_id: str, event: str, terminal: bool = False, **data: Any
+    ) -> None:
+        if self.events is not None:
+            self.events.emit(job_id, event, **data)
+            if terminal:
+                self.events.mark_terminal(job_id)
 
     # ------------------------------------------------------------------
     def run(
@@ -144,20 +231,17 @@ class Worker:
         try:
             while not stop.is_set():
                 if self.reap and time.monotonic() >= next_reap:
-                    outcome = self.store.reap_expired(
-                        quarantine_after=self.quarantine_after
+                    reap_and_report(
+                        self.store,
+                        self.quarantine_after,
+                        who=f"worker {self.worker_id}",
+                        log=self._log,
+                        events=self.events,
                     )
-                    for job_id in outcome.requeued:
-                        self._log(
-                            f"worker {self.worker_id}: requeued expired lease"
-                            f" on job {job_id[:12]}"
-                        )
-                    for job_id in outcome.quarantined:
-                        self._log(
-                            f"worker {self.worker_id}: quarantined crash-"
-                            f"looping job {job_id[:12]}"
-                        )
                     next_reap = time.monotonic() + self.reap_interval
+                # Cleared before the claim, so a wake() landing after an
+                # empty claim still cuts the idle wait below short.
+                self._wake.clear()
                 job = self.store.claim_next(
                     worker_id=self.worker_id, lease_ttl=self.lease_ttl
                 )
@@ -167,10 +251,15 @@ class Worker:
                     if idle_exit is not None and now - idle_since >= idle_exit:
                         break
                     self.store.worker_heartbeat(self.worker_id)
-                    stop.wait(self.poll_interval)
+                    self._wake.wait(self.poll_interval)
                     continue
                 idle_since = None
-                self._run_job(job, stop)
+                self.last_dequeue_at = time.time()
+                self.current_job = job.id
+                try:
+                    self._run_job(job)
+                finally:
+                    self.current_job = None
                 self.jobs_executed += 1
                 if max_jobs is not None and self.jobs_executed >= max_jobs:
                     break
@@ -183,16 +272,16 @@ class Worker:
         return self.jobs_executed
 
     # ------------------------------------------------------------------
-    def _run_job(self, job: Job, stop: threading.Event) -> None:
+    def _run_job(self, job: Job) -> None:
         # The whole claim-to-outcome arc runs under the job's trace context,
         # so every span (and JSON log line) this thread emits carries the
         # cross-process correlation ids.
         with trace_context(
             trace_id=job.trace_id, job_id=job.id, worker_id=self.worker_id
         ):
-            self._run_job_traced(job, stop)
+            self._run_job_traced(job)
 
-    def _run_job_traced(self, job: Job, stop: threading.Event) -> None:
+    def _run_job_traced(self, job: Job) -> None:
         # An instantaneous claim marker, recorded (and spooled) *before*
         # execution starts: even a worker SIGKILL'd mid-job leaves proof in
         # the span store that it touched this trace.
@@ -204,6 +293,74 @@ class Worker:
             f"worker {self.worker_id}: claimed job {job.short_id}"
             f" [{job.experiment}] execution={job.executions}"
         )
+        self._emit(
+            job.id,
+            "started",
+            execution=job.executions,
+            experiment=job.experiment,
+            worker=self.worker_id,
+        )
+
+        def on_stage(stage: str, seconds: float) -> None:
+            self.store.record_stage(job.id, stage, seconds)
+            self._emit(job.id, "stage", stage=stage, seconds=seconds)
+
+        # ``started_at`` was stamped by the claim, so the deadline covers
+        # execution only — queue wait does not eat a job's budget.
+        deadline = (
+            None
+            if job.deadline_s is None or job.started_at is None
+            else job.started_at + job.deadline_s
+        )
+        try:
+            with self._heartbeating(job) as lease_lost:
+                fault_point(
+                    "worker.claim",
+                    job=job.id,
+                    experiment=job.experiment,
+                    execution=job.executions,
+                )
+                with trace_span(
+                    "worker.execute",
+                    experiment=job.experiment,
+                    execution=job.executions,
+                ):
+                    result = self._execute(
+                        job.request(), self.options, on_stage, deadline
+                    )
+        except Exception as exc:  # noqa: BLE001 — job isolation boundary
+            self._record_failure(job, exc)
+        except BaseException:
+            # Interrupt mid-job (SIGTERM escalation, drain): requeue
+            # immediately rather than waiting out the lease.
+            self.store.mark_failed(
+                job.id,
+                "interrupted during worker shutdown",
+                retry_at=time.time(),
+                worker_id=self.worker_id,
+            )
+            self._emit(job.id, "interrupted")
+            raise
+        else:
+            finished = self.store.mark_done(
+                job.id, result, worker_id=self.worker_id
+            )
+            if lease_lost.is_set() or finished.worker_id != self.worker_id:
+                # Reaped while we ran: the result was discarded by the owner
+                # guard and the job belongs to another execution, which
+                # reports its own end.
+                self._log(
+                    f"worker {self.worker_id}: lost lease on job"
+                    f" {job.short_id}; result discarded"
+                )
+                return
+            self.store.worker_finished(self.worker_id, ok=True)
+            self._log(f"worker {self.worker_id}: job {job.short_id} done")
+            self._emit(job.id, "done", terminal=True)
+
+    @contextmanager
+    def _heartbeating(self, job: Job) -> Iterator[threading.Event]:
+        """Extend ``job``'s lease in the background; yields the lost flag."""
         done = threading.Event()
         lease_lost = threading.Event()
 
@@ -223,67 +380,18 @@ class Worker:
             target=_beat, name=f"repro-worker-heartbeat-{job.short_id}", daemon=True
         )
         beater.start()
-
-        def on_stage(stage: str, seconds: float) -> None:
-            self.store.record_stage(job.id, stage, seconds)
-
-        # ``started_at`` was stamped by the claim, so the deadline covers
-        # execution only — queue wait does not eat a job's budget.
-        deadline = (
-            None
-            if job.deadline_s is None or job.started_at is None
-            else job.started_at + job.deadline_s
-        )
         try:
-            fault_point(
-                "worker.claim",
-                job=job.id,
-                experiment=job.experiment,
-                execution=job.executions,
-            )
-            with trace_span(
-                "worker.execute",
-                experiment=job.experiment,
-                execution=job.executions,
-            ):
-                result = call_execute(
-                    self._execute, job.request(), self.options, on_stage, deadline
-                )
-        except Exception as exc:  # noqa: BLE001 — job isolation boundary
+            yield lease_lost
+        finally:
             done.set()
             beater.join()
-            self._record_failure(job, exc)
-        except BaseException:
-            # Interrupt mid-job (SIGTERM escalation): requeue immediately
-            # rather than waiting out the lease.
-            done.set()
-            beater.join()
-            self.store.mark_failed(
-                job.id,
-                "interrupted during worker shutdown",
-                retry_at=time.time(),
-                worker_id=self.worker_id,
-            )
-            raise
-        else:
-            done.set()
-            beater.join()
-            finished = self.store.mark_done(
-                job.id, result, worker_id=self.worker_id
-            )
-            if lease_lost.is_set() or finished.worker_id != self.worker_id:
-                # Reaped while we ran: the result was discarded by the owner
-                # guard and the job belongs to another incarnation now.
-                self._log(
-                    f"worker {self.worker_id}: lost lease on job"
-                    f" {job.short_id}; result discarded"
-                )
-            else:
-                self.store.worker_finished(self.worker_id, ok=True)
-                self._log(f"worker {self.worker_id}: job {job.short_id} done")
 
     def _record_failure(self, job: Job, exc: Exception) -> None:
         error = f"{type(exc).__name__}: {exc}"
+        # ``claim_next`` already counted this execution; the budget is scoped
+        # to the current incarnation (a resubmitted failed job retries with a
+        # fresh budget, not one depleted by its history).
+        retry_at = plan_retry(job, self.retry_base_delay, self.retry_max_delay)
         if isinstance(exc, DeadlineExceeded):
             # Terminal regardless of retry budget: the same budget would be
             # blown again, wasting another worker-deadline of fleet time.
@@ -293,10 +401,8 @@ class Worker:
                 f"worker {self.worker_id}: job {job.short_id} exceeded its"
                 f" deadline ({error})"
             )
-            self.store.worker_finished(self.worker_id, ok=False)
-            return
-        retry_at = plan_retry(job, self.retry_base_delay, self.retry_max_delay)
-        if retry_at is not None:
+            self._emit(job.id, "failed", terminal=True, error=error, deadline=True)
+        elif retry_at is not None:
             self.store.mark_failed(
                 job.id, error, retry_at=retry_at, worker_id=self.worker_id
             )
@@ -305,13 +411,20 @@ class Worker:
                 f"worker {self.worker_id}: job {job.short_id} failed"
                 f" ({error}); retry scheduled"
             )
+            self._emit(
+                job.id,
+                "retry_scheduled",
+                error=error,
+                delay=max(0.0, retry_at - time.time()),
+            )
         else:
             self.store.mark_failed(job.id, error, worker_id=self.worker_id)
             self._log(
                 f"worker {self.worker_id}: job {job.short_id} failed"
                 f" terminally ({error})"
             )
+            self._emit(job.id, "failed", terminal=True, error=error)
         self.store.worker_finished(self.worker_id, ok=False)
 
 
-__all__ = ["Worker"]
+__all__ = ["ExecuteFn", "Worker", "plan_retry", "reap_and_report"]

@@ -165,7 +165,7 @@ class TestSigkillRecovery:
                 worker_id="w-survivor",
                 lease_ttl=lease_ttl,
                 poll_interval=0.05,
-                execute=lambda req, options, on_stage: _result(req),
+                execute=lambda req, options, on_stage, deadline: _result(req),
             )
             executed = survivor.run(max_jobs=1, idle_exit=30.0)
             assert executed == 1
@@ -197,7 +197,7 @@ class TestHeartbeatLiveness:
         with JobStore(db) as store:
             store.submit(request)
 
-            def slow_execute(req, options, on_stage):
+            def slow_execute(req, options, on_stage, deadline):
                 time.sleep(lease_ttl * 2.5)  # well past the original lease
                 return _result(req)
 

@@ -31,7 +31,7 @@ class StageExecutor:
         self.gate = gate
         self.started = started
 
-    def __call__(self, request, options, on_stage):
+    def __call__(self, request, options, on_stage, deadline):
         if self.started is not None:
             self.started.set()
         if self.gate is not None:
@@ -106,6 +106,22 @@ class TestHealthz:
         sched = running.client.health()["scheduler"]
         assert sched["last_dequeue_at"] is not None
         assert sched["last_dequeue_at"] >= before
+
+
+    def test_worker_registry_counts_in_process_jobs(self, running):
+        """The in-process thread's ``/healthz`` ``workers`` row tallies the
+        jobs it finished, like a ``repro worker`` process's row does."""
+        job = running.client.submit(_request(rate=0.8))["job"]
+        running.client.wait(job["id"], timeout=30.0, poll=0.02)
+        # The tally lands just after the job row turns done.
+        deadline = time.time() + 10.0
+        while True:
+            (row,) = running.client.health()["workers"]
+            if row["jobs_done"] or time.time() >= deadline:
+                break
+            time.sleep(0.02)
+        assert row["id"] == f"{running.scheduler.worker_id_base}:t0"
+        assert row["jobs_done"] == 1 and row["jobs_failed"] == 0
 
 
 class TestStats:

@@ -11,6 +11,7 @@ from repro.api import ExperimentRequest, ExperimentResult, RunOptions
 from repro.obs import metrics
 from repro.serve.scheduler import JobEvents, Scheduler
 from repro.serve.store import CANCELLED, DONE, FAILED, RUNNING, JobStore, QUEUED
+from repro.serve.worker import Worker
 
 
 def _request(rate: float = 0.9, experiment: str = "fig8") -> ExperimentRequest:
@@ -32,7 +33,7 @@ class CountingExecutor:
         self.started = started
         self._lock = threading.Lock()
 
-    def __call__(self, request, options, on_stage):
+    def __call__(self, request, options, on_stage, deadline):
         with self._lock:
             self.calls += 1
             call = self.calls
@@ -257,6 +258,62 @@ class TestLostLease:
         assert events[0] == "started" and "done" not in events
         current = store.get(job.id)
         assert current.state == RUNNING and current.worker_id == "w-other"
+
+
+    def test_bare_worker_discards_result_after_reap(self, store):
+        """The same lost-lease path when a ``repro worker`` loop runs the
+        job: no ``done`` event, no ``jobs_done`` tally, the new owner keeps
+        the job."""
+        started, gate = threading.Event(), threading.Event()
+        events = JobEvents()
+        worker = Worker(
+            store,
+            worker_id="w-bare",
+            lease_ttl=30.0,
+            poll_interval=0.02,
+            execute=CountingExecutor(gate=gate, started=started),
+            events=events,
+        )
+        lost = metrics().counter("jobs.lease_lost")
+        job, _ = store.submit(_request())
+        runner = threading.Thread(target=worker.run, kwargs={"max_jobs": 1})
+        runner.start()
+        try:
+            assert started.wait(10.0)
+            assert store.reap_expired(now=time.time() + 1000.0).requeued == [job.id]
+            assert store.claim_next(worker_id="w-other", lease_ttl=30.0).id == job.id
+            (row,) = store.list_workers()
+            lost_before = lost.value
+        finally:
+            gate.set()
+            runner.join(timeout=10.0)
+        assert not runner.is_alive()
+
+        assert lost.value == lost_before + 1
+        assert row["id"] == "w-bare" and row["jobs_done"] == 0
+        kinds = [e["event"] for e in events.since(job.id)]
+        assert kinds[0] == "started" and "done" not in kinds
+        current = store.get(job.id)
+        assert current.state == RUNNING and current.worker_id == "w-other"
+
+
+class TestFrontEndReaper:
+    def test_lease_expiry_reaches_the_events_feed(self, store):
+        """``concurrency=0`` (the ``--fleet`` front end) still reaps, and
+        each requeue is announced to events long-pollers."""
+        scheduler = _scheduler(store, CountingExecutor(), concurrency=0, lease_ttl=0.2)
+        scheduler.start()
+        try:
+            job, _ = scheduler.submit(_request())
+            # A worker process that claimed the job and died at once.
+            assert store.claim_next(worker_id="w-dead", lease_ttl=0.0).id == job.id
+            seen = scheduler.events.wait(job.id, since=0, timeout=10.0)
+        finally:
+            assert scheduler.stop(timeout=10.0)
+        assert [(e["event"], e["reason"]) for e in seen] == [
+            ("requeued", "lease expired")
+        ]
+        assert store.get(job.id).state == QUEUED
 
 
 class TestJobEventsEviction:

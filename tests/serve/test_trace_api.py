@@ -62,9 +62,12 @@ class TestTraceEndpoint:
             for event in document["traceEvents"]
             if event["ph"] == "X"
         }
-        # The front-end's submit span and the scheduler's execute span both
-        # landed in the one merged document, plus the synthetic queue wait.
-        assert {"http.submit", "scheduler.execute", "queue.wait"} <= names
+        # The front-end's submit span and the worker thread's claim and
+        # execute spans all landed in the one merged document, plus the
+        # synthetic queue wait.
+        assert {
+            "http.submit", "worker.claim", "worker.execute", "queue.wait"
+        } <= names
         assert meta["queue_wait_s"] is not None
         assert meta["queue_wait_s"] >= 0.0
         assert meta["span_count"] >= 2
@@ -87,8 +90,11 @@ class TestTraceEndpoint:
         """A NULL-trace_id row (migrated v3 data) must not 500."""
         running.client.submit(_request(rate=0.4))
         store = running.store
-        store._conn.execute("UPDATE jobs SET trace_id=NULL")
-        store._conn.commit()
+        # Under the store's lock: the worker thread shares this connection,
+        # and a bare commit() would end its claim transaction mid-flight.
+        with store._lock:
+            store._conn.execute("UPDATE jobs SET trace_id=NULL")
+            store._conn.commit()
         job = running.client.jobs()[0]
         document = running.client.trace(job["id"])
         assert document["metadata"]["trace_id"] is None
