@@ -1,17 +1,16 @@
-"""Benchmark E-DSE — the design-space exploration engine at survey scale.
+"""Benchmark E-DSE — design-space exploration at survey scale.
 
 Times the 48-point PE x buffer x pruning-rate grid over two workloads (96
-evaluations) through the exploration engine, and the same sweep again from a
-warm persistent cache.  The printed output is the per-workload Pareto
-frontier — the artefact a design-space survey is run for.
+evaluations) through the closed-form evaluator.  The printed output is the
+per-workload Pareto frontier — the artefact a design-space survey is run for.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.explore.cache import ResultCache
-from repro.explore.engine import ExplorationEngine, points_for
+from repro.analytic.model import evaluate_points_analytic
+from repro.explore.engine import points_for
 from repro.explore.pareto import pareto_by_workload
 from repro.explore.report import format_frontier
 from repro.explore.space import paper_neighborhood_space
@@ -26,8 +25,9 @@ def sweep_points():
 
 @pytest.mark.benchmark(group="explore-sweep")
 def test_grid_sweep(benchmark, capsys, sweep_points):
-    engine = ExplorationEngine(cache=None, parallel=True)
-    records = benchmark.pedantic(engine.run, args=(sweep_points,), rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        evaluate_points_analytic, args=(sweep_points,), rounds=1, iterations=1
+    )
     assert len(records) == len(sweep_points)
 
     frontiers = pareto_by_workload(records)
@@ -41,21 +41,3 @@ def test_grid_sweep(benchmark, capsys, sweep_points):
         for frontier in frontiers.values():
             assert len(frontier) > 1
             assert len({record.num_pes for record in frontier}) > 1
-
-
-@pytest.mark.benchmark(group="explore-sweep")
-def test_cached_sweep(benchmark, capsys, sweep_points, tmp_path):
-    cache_path = tmp_path / "cache.jsonl"
-    warm = ExplorationEngine(cache=ResultCache(cache_path), parallel=True)
-    warm.run(sweep_points)
-
-    def cached_pass():
-        engine = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
-        records = engine.run(sweep_points)
-        assert engine.stats.evaluated == 0
-        assert engine.stats.cache_hits == len(sweep_points)
-        return records
-
-    records = benchmark.pedantic(cached_pass, rounds=1, iterations=1)
-    with capsys.disabled():
-        print(f"\n  cached pass: {len(records)} records, 0 simulated")

@@ -2,15 +2,13 @@
 """Design-space exploration: sweep the architecture grid, extract the frontier.
 
 Evaluates a PE-count x buffer-size x pruning-rate grid (the paper's design
-point sits in the middle of it) over two workloads through the parallel,
-cached exploration engine, then prints the per-workload latency/energy/area
-Pareto frontiers and the best point under each single objective.
+point sits in the middle of it) over two workloads through the closed-form
+cost model, then prints the per-workload latency/energy/area Pareto
+frontiers and the best point under each single objective.
 
 Run with:  python examples/design_space_exploration.py
            python examples/design_space_exploration.py --sample 24   (random subset)
-           python examples/design_space_exploration.py --no-cache    (force re-simulation)
 
-A second run is near-instant: results are cached in .repro-cache/.
 The same sweep is available as `python -m repro sweep` / `python -m repro pareto`.
 """
 
@@ -19,9 +17,8 @@ from __future__ import annotations
 import argparse
 import time
 
+from repro.analytic.model import evaluate_points_analytic
 from repro.explore import (
-    ExplorationEngine,
-    ResultCache,
     best_point,
     format_frontier,
     paper_neighborhood_space,
@@ -36,10 +33,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sample", type=int, default=None,
                         help="evaluate a seeded random subset of the grid")
-    parser.add_argument("--serial", action="store_true",
-                        help="evaluate in-process instead of a worker pool")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the persistent result cache")
     args = parser.parse_args()
 
     space = paper_neighborhood_space()
@@ -47,12 +40,10 @@ def main() -> None:
     print(f"design space: {space.size} points x {len(WORKLOADS)} workloads "
           f"-> {len(points)} evaluations\n")
 
-    cache = None if args.no_cache else ResultCache()
-    engine = ExplorationEngine(cache=cache, parallel=not args.serial)
     start = time.perf_counter()
-    records = engine.run(points)
+    records = evaluate_points_analytic(points)
     elapsed = time.perf_counter() - start
-    print(f"{engine.stats.describe()} in {elapsed:.2f}s\n")
+    print(f"{len(records)} points evaluated (closed form) in {elapsed:.2f}s\n")
 
     for workload, frontier in sorted(pareto_by_workload(records).items()):
         group = [r for r in records if r.workload == workload]

@@ -1,35 +1,24 @@
-"""repro.analytic — the closed-form cost-model tier.
+"""repro.analytic — the closed-form cost model and its validation.
 
-Three pieces:
+Two pieces:
 
-* :mod:`repro.analytic.fidelity` — the :class:`Fidelity` enum and helpers;
-  imported eagerly because the request layer depends on it at module load.
 * :mod:`repro.analytic.model` — vectorized closed-form estimators over
-  batched design-point grids.
-* :mod:`repro.analytic.validate` — the ``analytic-validate`` cross-validation
-  experiment with enforceable per-metric error bounds.
+  batched design-point grids; every sweep, Pareto front and ablation sweep
+  evaluates through it.
+* :mod:`repro.analytic.validate` — the ``analytic-validate`` experiment,
+  which compares the closed form against the simulator reference
+  (:func:`repro.explore.engine.evaluate_point`) under enforceable
+  per-metric error bounds.
 
-``model`` and ``validate`` are exposed lazily: they import the explore and
-api layers, and ``api.request`` imports this package for the fidelity enum —
-eager imports here would close that cycle.
+Both are exposed lazily: they import the explore and api layers, which
+importing this package alone should not pull in.
 """
 
 from __future__ import annotations
 
-from repro.analytic.fidelity import (
-    DEFAULT_FIDELITY,
-    FIDELITY_CHOICES,
-    Fidelity,
-    fidelity_of,
-)
-
 _LAZY_SUBMODULES = ("model", "validate")
 
 __all__ = [
-    "DEFAULT_FIDELITY",
-    "FIDELITY_CHOICES",
-    "Fidelity",
-    "fidelity_of",
     "model",
     "validate",
 ]

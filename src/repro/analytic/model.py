@@ -1,11 +1,13 @@
-"""Vectorized closed-form cost model — the ``analytic`` fidelity tier.
+"""Vectorized closed-form cost model — the one design-point evaluator.
 
 The layer-level simulator (:mod:`repro.arch.accelerator`) already computes
 every quantity from closed-form expected-value counts; what makes it slow at
 survey scale is walking the instruction stream point by point in Python.
 This module evaluates the same formulas over *(design point, layer)* arrays,
 so a whole design grid — millions of (workload, architecture, density)
-points — evaluates in a handful of vectorized calls.
+points — evaluates in a handful of vectorized calls.  Every sweep, Pareto
+front and ablation sweep runs through :func:`evaluate_points_analytic` or
+:func:`evaluate_grid_analytic`.
 
 It holds no formula of its own.  Every one is imported from its one home and
 evaluates on scalars and numpy columns alike:
@@ -25,13 +27,12 @@ What is left here is the machine model's glue, mirroring
 divided by the batch size and the double-buffered ``max(compute, dram)``
 step latency.  Aggregates are summed with numpy instead of Python-loop
 order, and energy is charged on per-point totals instead of per step, so the
-tiers differ by float rounding only (see ``repro.analytic.validate`` for the
+closed form and the simulator (:func:`repro.explore.engine.evaluate_point`)
+differ by float rounding only (see ``repro.analytic.validate`` for the
 enforced bounds).
 
-Cache keys: analytic records are :class:`EvaluationRecord` objects whose
-``key`` is the point's simulator key salted with ``fidelity=analytic``
-(:func:`analytic_point_key`), so the two tiers can never collide in a
-:class:`~repro.explore.cache.ResultCache` or an engine dedup pass.
+Records are :class:`EvaluationRecord` objects keyed by
+:attr:`DesignPoint.key`, whichever of the two evaluators built them.
 """
 
 from __future__ import annotations
@@ -456,26 +457,8 @@ def compare_batch(
 
 
 # ---------------------------------------------------------------------------
-# DesignPoint front end (the explore-engine integration)
+# DesignPoint front end: the sweep, Pareto and ablation evaluators
 # ---------------------------------------------------------------------------
-
-def analytic_point_key(point: DesignPoint) -> str:
-    """Dedup/band-mapping key of a point at the analytic tier.
-
-    Salted with the fidelity tier so analytic records can never collide with
-    simulator-tier cache entries.  Unlike ``DesignPoint.key`` — which expands
-    the override tuples into full config dicts because it names *persisted*
-    cache entries that must survive config-default changes — analytic keys
-    live only for the duration of one process (analytic records are never
-    written to the sweep cache), so a plain ``analytic:``-prefixed canonical
-    string is sufficient — and keeps key derivation (JSON + SHA-256 on the
-    simulator tier) off the million-point critical path.
-    """
-    return (
-        f"analytic:{point.model}/{point.dataset}"
-        f"@{point.pruning_rate!r}|{point.overrides!r}|{point.energy_overrides!r}"
-    )
-
 
 def evaluate_points_analytic(
     points: Sequence[DesignPoint],
@@ -484,14 +467,13 @@ def evaluate_points_analytic(
     """Closed-form evaluation of a design-point batch.
 
     The batched counterpart of running ``evaluate_point`` over the list:
-    deduplicates by analytic key (first-seen order, the engine's contract),
-    groups by workload, and evaluates each group in vectorized slabs of
-    ``chunk_points``.  Records carry :func:`analytic_point_key` keys so they
-    stay distinct from simulator-tier records.
+    returns one record per unique :attr:`DesignPoint.key` in first-seen
+    order, grouping points by workload and evaluating each group in
+    vectorized slabs of ``chunk_points``.
     """
     unique: dict[str, DesignPoint] = {}
     for point in points:
-        unique.setdefault(analytic_point_key(point), point)
+        unique.setdefault(point.key, point)
 
     groups: dict[tuple[str, str], list[tuple[str, DesignPoint]]] = {}
     for key, point in unique.items():
@@ -556,11 +538,11 @@ class AnalyticGridPlan:
 
     Materializing one :class:`DesignPoint` per grid cell costs more than the
     closed-form model itself at 10^5+ points, so the sweep compile stage
-    hands the analytic tier the axes and lets :func:`evaluate_grid_analytic`
+    hands over the axes and lets :func:`evaluate_grid_analytic`
     build its design-point columns with ``np.repeat``/``np.tile``.  Only
-    valid when every axis is duplicate-free (then every grid cell is a
-    distinct point and dedup is a no-op); callers fall back to
-    :func:`evaluate_points_analytic` otherwise.
+    valid when every axis and the workload list are duplicate-free (then
+    every grid cell is a distinct point and dedup is a no-op); callers fall
+    back to :func:`evaluate_points_analytic` otherwise.
     """
 
     workloads: tuple[tuple[str, str], ...]
@@ -577,8 +559,8 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
 
     Emits records in exactly the order ``points_for`` would enumerate the
     grid (workloads outer; ``num_pes`` x ``buffer_kib`` x ``pruning_rate``
-    row-major inner) with keys identical to :func:`analytic_point_key` of
-    the corresponding :class:`DesignPoint` — callers cannot tell the fast
+    row-major inner) with keys identical to :attr:`DesignPoint.key` of
+    the corresponding point — callers cannot tell the fast
     path from the point-list path except by wall-clock.
     """
     n_rates = len(plan.rates)
@@ -661,7 +643,7 @@ def evaluate_grid_analytic(plan: AnalyticGridPlan) -> list[EvaluationRecord]:
     records: list[EvaluationRecord] = []
     for model, dataset in plan.workloads:
         _, geometry = workload_geometry(model, dataset)
-        prefix = f"analytic:{model}/{dataset}@"
+        prefix = f"{model}/{dataset}@"
         baseline = estimate_batch(
             geometry, DensityGrid.dense(), baseline_combo_grid, energy, sparse=False
         )
@@ -724,7 +706,6 @@ __all__ = [
     "DensityGrid",
     "EnergyGrid",
     "LayerGeometry",
-    "analytic_point_key",
     "compare_batch",
     "estimate_batch",
     "evaluate_points_analytic",

@@ -1,16 +1,17 @@
-"""Cross-validation of the analytic tier against the simulator.
+"""Cross-validation of the closed-form model against the simulator.
 
 The ``analytic-validate`` experiment samples a seeded grid of (workload,
 architecture, density) points, evaluates every point through *both* the
 closed-form model (:mod:`repro.analytic.model`) and the instruction-stream
-simulator, and reports the per-metric relative-error distribution against
-enforceable bounds.
+simulator reference (:func:`repro.explore.engine.evaluate_point`), and
+reports the per-metric relative-error distribution against enforceable
+bounds.
 
 Error-bound policy
 ------------------
 Both paths evaluate the same closed-form formulas — one definition each,
-called on scalars by the simulator and on numpy columns by the analytic
-tier.  The only admissible differences are floating-point ones: summation
+called on scalars by the simulator and on numpy columns by the closed
+form.  The only admissible differences are floating-point ones: summation
 order (numpy reductions vs Python-loop accumulation, energy charged on
 totals vs per step) and numpy's vectorized ``pow`` vs libm's, which differ
 in the last ulp for a few percent of the zero-skipping factors.  The default
@@ -221,7 +222,7 @@ def _report_stage(ctx: PipelineContext) -> ExperimentReport:
             f"{entry.bound:>9.0e} {'yes' if entry.ok else 'NO':>4}"
         )
     lines.append(
-        "PASS: analytic tier within bounds"
+        "PASS: closed form within bounds"
         if result.ok
         else f"FAIL: bound exceeded for {', '.join(result.violations)}"
     )
@@ -239,7 +240,7 @@ def build_analytic_validate_pipeline(request: ExperimentRequest) -> Pipeline:
         "analytic-validate",
         [
             Stage("compile", _compile_stage, "sample the seeded validation grid"),
-            Stage("simulate", _simulate_stage, "run both cost-model tiers"),
+            Stage("simulate", _simulate_stage, "closed form and simulator reference"),
             Stage("report", _report_stage, "relative-error distribution table"),
         ],
     )

@@ -12,7 +12,7 @@ benchmark, the design-space sweeps) executes through this layer:
 * :class:`Runner` — the single worker-pool fan-out primitive.
 * :func:`register_workload` / :func:`register_experiment` — decorator-based
   registries that ``models/zoo``, the figure/table harnesses, ``bench`` and
-  the exploration engine register into; :func:`run_experiment` resolves and
+  the design-space sweeps register into; :func:`run_experiment` resolves and
   executes by name.
 
 Minimal use::
@@ -33,7 +33,6 @@ require a deprecation cycle (see DESIGN.md).
 
 from __future__ import annotations
 
-from repro.analytic.fidelity import DEFAULT_FIDELITY, FIDELITY_CHOICES, Fidelity, fidelity_of
 from repro.api.registry import (
     EXPERIMENTS,
     Experiment,
@@ -64,15 +63,11 @@ from repro.api.stages import (
     Pipeline,
     PipelineContext,
     Stage,
-    fidelity_dispatch,
 )
 
 __all__ = [
-    "DEFAULT_FIDELITY",
     "DeadlineExceeded",
     "EXPERIMENTS",
-    "FIDELITY_CHOICES",
-    "Fidelity",
     "Experiment",
     "ExperimentReport",
     "ExperimentRequest",
@@ -90,8 +85,6 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "default_runner",
-    "fidelity_dispatch",
-    "fidelity_of",
     "get_experiment",
     "get_workload",
     "list_experiments",

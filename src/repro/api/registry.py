@@ -108,9 +108,6 @@ class Experiment:
     #: Grouping used by ``repro list`` (``"paper-figures"``,
     #: ``"design-space"``, ``"ablations"``, ...).
     category: str = "general"
-    #: Whether the experiment's simulate stage dispatches on the request's
-    #: fidelity tier (``--fidelity`` is meaningful).
-    supports_fidelity: bool = False
 
     def pipeline(self, request: ExperimentRequest) -> Pipeline:
         return self.build(request)
@@ -213,7 +210,6 @@ def register_experiment(
     description: str = "",
     tags: tuple[str, ...] = (),
     category: str = "general",
-    supports_fidelity: bool = False,
 ) -> Callable[[Callable[[ExperimentRequest], Pipeline]], Callable[[ExperimentRequest], Pipeline]]:
     """Decorator registering a ``request -> Pipeline`` builder as an experiment."""
 
@@ -228,7 +224,6 @@ def register_experiment(
                 description=description,
                 tags=tags,
                 category=category,
-                supports_fidelity=supports_fidelity,
             ),
         )
         return build

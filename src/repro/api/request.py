@@ -24,18 +24,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
-
-# Import-light by design (stdlib-only module): the fidelity knob is part of
-# the request schema, so the enum lives in a leaf module both layers can use.
-from repro.analytic.fidelity import DEFAULT_FIDELITY, Fidelity
 
 # Default cache location; kept textually in sync with
 # ``repro.explore.cache.DEFAULT_CACHE_DIR`` (asserted by the API test suite)
 # so the API layer stays import-free at module load.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: Cost-model tier names an older request schema carried in a ``fidelity``
+#: field.  Stored job rows and older clients still send one, so it is still
+#: accepted and validated, but it selects nothing and is never serialized.
+LEGACY_FIDELITIES: tuple[str, ...] = ("analytic", "vectorized", "scalar")
 
 
 def canonical_json(payload: Any) -> str:
@@ -119,12 +120,9 @@ class ExperimentRequest:
         Experiment-specific parameters as a sorted ``(name, value)`` tuple;
         values must be JSON-native (lists/dicts/str/num/bool/None).
     fidelity:
-        Cost-model tier (``"analytic"``/``"vectorized"``/``"scalar"``, see
-        :mod:`repro.analytic.fidelity`).  Content-hash-affecting: the tier
-        changes the provenance of the result, so two requests differing only
-        in fidelity must never share a cache entry.  Serialized only when it
-        differs from the default so every pre-existing request hash is
-        unchanged.
+        Constructor-only legacy input: one of :data:`LEGACY_FIDELITIES`,
+        validated and then ignored.  It is not a field, so it never reaches
+        ``to_dict``, equality or the content hash.
     """
 
     experiment: str
@@ -132,9 +130,17 @@ class ExperimentRequest:
     pruning_rate: float = 0.9
     scale: Any = None
     params: tuple[tuple[str, Any], ...] = ()
-    fidelity: str = DEFAULT_FIDELITY.value
+    fidelity: InitVar[Any] = "vectorized"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, fidelity: Any) -> None:
+        if not (
+            isinstance(fidelity, str)
+            and fidelity.strip().lower() in LEGACY_FIDELITIES
+        ):
+            raise ValueError(
+                f"unknown fidelity {fidelity!r}; choose from "
+                f"{', '.join(LEGACY_FIDELITIES)}"
+            )
         if not self.experiment or not isinstance(self.experiment, str):
             raise ValueError("experiment must be a non-empty string")
         if not 0.0 <= float(self.pruning_rate) < 1.0:
@@ -165,10 +171,6 @@ class ExperimentRequest:
             raise ValueError(f"duplicate parameter name(s) in {names}")
         object.__setattr__(self, "params", normalized)
 
-        object.__setattr__(
-            self, "fidelity", Fidelity.normalize(self.fidelity).value
-        )
-
     # ------------------------------------------------------------------
     # Parameter access
     # ------------------------------------------------------------------
@@ -189,35 +191,19 @@ class ExperimentRequest:
             pruning_rate=self.pruning_rate,
             scale=self.scale,
             params=tuple(merged.items()),
-            fidelity=self.fidelity,
-        )
-
-    def with_fidelity(self, fidelity: Any) -> "ExperimentRequest":
-        """Copy of this request at another cost-model tier."""
-        return ExperimentRequest(
-            experiment=self.experiment,
-            workloads=self.workloads,
-            pruning_rate=self.pruning_rate,
-            scale=self.scale,
-            params=self.params,
-            fidelity=Fidelity.normalize(fidelity).value,
         )
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        data = {
+        return {
             "experiment": self.experiment,
             "workloads": [list(pair) for pair in self.workloads],
             "pruning_rate": self.pruning_rate,
             "scale": scale_to_dict(self.scale),
             "params": {name: value for name, value in self.params},
         }
-        # Omitted at the default tier so legacy request hashes are stable.
-        if self.fidelity != DEFAULT_FIDELITY.value:
-            data["fidelity"] = self.fidelity
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentRequest":
@@ -227,7 +213,7 @@ class ExperimentRequest:
             pruning_rate=data.get("pruning_rate", 0.9),
             scale=_scale_from_dict(data["scale"]) if data.get("scale") else None,
             params=tuple(dict(data.get("params", {})).items()),
-            fidelity=data.get("fidelity", DEFAULT_FIDELITY.value),
+            fidelity=data.get("fidelity", "vectorized"),
         )
 
     def to_json(self, indent: int | None = None) -> str:
@@ -291,12 +277,11 @@ class RunOptions:
     parallel:
         Master parallelism switch: ``False`` forces serial execution in
         every stage regardless of ``max_workers``; ``True`` (default) lets
-        the worker count decide (design-space sweeps additionally use the
-        self-sizing pool when ``max_workers`` is ``None``).
+        the worker count decide.
     use_cache:
-        Enable the persistent per-stage disk caches.
+        Enable the persistent measured-density cache.
     cache_dir:
-        Directory holding the density and sweep caches.
+        Directory holding the density cache.
     """
 
     max_workers: int | None = None
@@ -311,14 +296,6 @@ class RunOptions:
         from repro.eval.density_cache import default_density_cache
 
         return default_density_cache(self.cache_dir)
-
-    def sweep_cache(self):
-        """The design-space result store (``None`` when caching is off)."""
-        if not self.use_cache:
-            return None
-        from repro.explore.cache import DEFAULT_CACHE_FILE, ResultCache
-
-        return ResultCache(Path(self.cache_dir) / DEFAULT_CACHE_FILE)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """The shared worker-pool execution primitive of the experiment pipeline.
 
 Before the :mod:`repro.api` layer existed, every batch-parallel caller —
-``sim.runner.simulate_many``, the exploration engine, the fig8/fig9
+``sim.runner.simulate_many``, the design-space sweeps, the fig8/fig9
 ``--workers`` path — carried its own copy of the same ``ProcessPoolExecutor``
 dance (chunk sizing, ordered results, the serial fallback for sandboxed
 interpreters).  :class:`Runner` is that dance written once; every pipeline

@@ -24,8 +24,7 @@ vocabulary (Fig. 8 is ``train -> profile -> compile -> simulate -> report``;
 the FIFO ablation is just ``prune -> report``).  The
 :class:`PipelineContext` threads the request, run options, runner, artifacts
 and per-stage timings through the stages, and exposes the per-stage caching
-hook (:meth:`PipelineContext.cached`) that the density and sweep caches plug
-into.
+hook (:meth:`PipelineContext.cached`) that the density cache plugs into.
 """
 
 from __future__ import annotations
@@ -268,49 +267,10 @@ class Pipeline:
         return f"Pipeline({self.describe()})"
 
 
-def fidelity_dispatch(
-    ctx: PipelineContext,
-    *,
-    vectorized: Callable[[PipelineContext], Any],
-    analytic: Callable[[PipelineContext], Any] | None = None,
-    scalar: Callable[[PipelineContext], Any] | None = None,
-) -> Any:
-    """Route a ``simulate`` stage to the tier the request asks for.
-
-    The single dispatch point of the fidelity knob: an experiment's simulate
-    stage calls this with its tier implementations, and the request's
-    ``fidelity`` field picks one.  ``scalar`` falls back to ``vectorized``
-    when not given (the tiers are numerically identical; scalar is the
-    serial trust anchor, so an experiment without a dedicated serial path
-    simply runs the default one).  An experiment without an ``analytic``
-    implementation rejects that tier loudly — silently simulating at the
-    wrong tier would poison fidelity-salted caches.
-    """
-    from repro.analytic.fidelity import Fidelity, fidelity_of
-
-    tier = fidelity_of(ctx.request)
-    if tier is Fidelity.ANALYTIC and analytic is None:
-        raise ValueError(
-            f"experiment {ctx.request.experiment!r} has no analytic tier; "
-            "run it at --fidelity vectorized or scalar"
-        )
-    metrics().counter(
-        "pipeline.fidelity.dispatch",
-        tier=tier.value,
-        experiment=ctx.request.experiment,
-    ).inc()
-    if tier is Fidelity.ANALYTIC:
-        return analytic(ctx)
-    if tier is Fidelity.SCALAR and scalar is not None:
-        return scalar(ctx)
-    return vectorized(ctx)
-
-
 __all__ = [
     "DeadlineExceeded",
     "STAGE_ORDER",
     "Stage",
     "Pipeline",
     "PipelineContext",
-    "fidelity_dispatch",
 ]

@@ -398,8 +398,9 @@ def check_regression(
       headline performance claim;
     * each stage's ``p95`` (from ``metrics.stage_seconds``) must not exceed
       the baseline by more than ``tolerance``, skipping stages whose
-      baseline p95 sits under ``min_stage_seconds`` (pure noise) or that
-      either run lacks.
+      baseline p95 sits under ``min_stage_seconds`` (pure noise), that
+      either run lacks, or whose ``stages[<name>].cache_hit`` differs
+      between the runs (a cache hit is not comparable with a cold run).
 
     Raises ``ValueError`` when the two payloads ran at different scales
     (``smoke`` flags differ) — comparing a smoke run against a full-scale
@@ -434,6 +435,14 @@ def check_regression(
         cur_p95 = (cur_stages.get(stage) or {}).get("p95")
         if base_p95 is None or cur_p95 is None:
             checked.append(f"stage {stage}: skipped (p95 missing)")
+            continue
+        base_hit = ((baseline.get("stages") or {}).get(stage) or {}).get("cache_hit")
+        cur_hit = ((current.get("stages") or {}).get(stage) or {}).get("cache_hit")
+        if base_hit != cur_hit:
+            checked.append(
+                f"stage {stage}: skipped (cache_hit={cur_hit} vs baseline "
+                f"cache_hit={base_hit}; not comparable)"
+            )
             continue
         if base_p95 < min_stage_seconds:
             checked.append(

@@ -16,13 +16,12 @@ Subcommands
     :class:`~repro.api.ExperimentResult`.
 ``sweep``
     Run a design-space sweep (PE count x buffer size x pruning rate, times a
-    workload list) through the exploration engine: parallel evaluation,
-    persistent caching, optional CSV/JSON export.  ``--model vgg16`` /
-    ``--model mobilenet`` sweep a single workload without spelling out
-    ``--workloads``.
+    workload list) through the closed-form cost model, with optional
+    CSV/JSON export.  ``--model vgg16`` / ``--model mobilenet`` sweep a
+    single workload without spelling out ``--workloads``.
 ``pareto``
-    Extract per-workload Pareto frontiers from a sweep (re-running it through
-    the cache, or loading a previous export) and optionally export them.
+    Extract per-workload Pareto frontiers from a sweep (re-running it, or
+    loading a previous export) and optionally export them.
 ``fig8`` / ``fig9``
     Regenerate the paper's latency (Fig. 8) and energy (Fig. 9) comparisons
     with the measured-density pipeline.  Density measurements are memoized on
@@ -66,8 +65,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.api import (
-    DEFAULT_FIDELITY,
-    FIDELITY_CHOICES,
     ExperimentRequest,
     RunOptions,
     list_experiments,
@@ -165,34 +162,6 @@ def _add_space_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="tiny fixed grid for CI smoke runs (overrides the space options)",
     )
-    parser.add_argument(
-        "--fidelity",
-        choices=FIDELITY_CHOICES,
-        default=DEFAULT_FIDELITY.value,
-        help="cost-model tier: analytic (closed-form, microseconds/point), "
-        "vectorized (the simulator, default), scalar (serial trust anchor)",
-    )
-
-
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help="persistent result-cache directory (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the persistent cache"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: one per CPU)",
-    )
-    parser.add_argument(
-        "--serial", action="store_true", help="evaluate in-process, no worker pool"
-    )
 
 
 def _selected_workloads(args: argparse.Namespace, default: str) -> list[tuple[str, str]]:
@@ -224,24 +193,8 @@ def _sweep_request(args: argparse.Namespace, experiment: str) -> ExperimentReque
     }
     if experiment == "pareto":
         params["objectives"] = list(_parse_list(args.objectives, str))
-    if getattr(args, "resim_pareto", False):
-        if args.fidelity != "analytic":
-            raise SystemExit("--resim-pareto requires --fidelity analytic")
-        params["resim_pareto"] = True
     return ExperimentRequest(
-        experiment=experiment,
-        workloads=tuple(workloads),
-        params=params,
-        fidelity=args.fidelity,
-    )
-
-
-def _engine_options(args: argparse.Namespace) -> RunOptions:
-    return RunOptions(
-        max_workers=args.jobs,
-        parallel=not args.serial,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
+        experiment=experiment, workloads=tuple(workloads), params=params
     )
 
 
@@ -255,25 +208,13 @@ def _check_export_suffix(path: str | None) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_export_suffix(args.out)
-    result = run_experiment(_sweep_request(args, "sweep"), _engine_options(args))
+    result = run_experiment(_sweep_request(args, "sweep"))
     records = result.native["records"]
     # attrgetter keeps the million-record sort off the Python bytecode path.
     ranked = sorted(records, key=operator.attrgetter("latency_us"))
     print(format_records_table(ranked, limit=args.top))
     elapsed = sum(result.stage_seconds.values())
     print(f"\n{result.native['stats']} in {elapsed:.2f}s")
-    resimulated = result.native.get("resimulated")
-    if resimulated is not None:
-        print(
-            f"\nre-simulated Pareto band: {len(resimulated)} point(s) "
-            f"({result.native.get('resim_stats', '')})"
-        )
-        print(
-            format_records_table(
-                sorted(resimulated, key=operator.attrgetter("latency_us")),
-                limit=args.top
-            )
-        )
     if args.out:
         export_records(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
@@ -288,7 +229,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         print(f"loaded {len(records)} records from {args.from_file}")
         frontiers = pareto_by_workload(records, objectives)
     else:
-        result = run_experiment(_sweep_request(args, "pareto"), _engine_options(args))
+        result = run_experiment(_sweep_request(args, "pareto"))
         elapsed = sum(result.stage_seconds.values())
         print(f"{result.native['stats']} in {elapsed:.2f}s")
         frontiers = result.native["frontiers"]
@@ -423,7 +364,6 @@ def request_from_args(args: argparse.Namespace) -> ExperimentRequest:
         pruning_rate=args.pruning_rate,
         scale=ExperimentScale.preset(scale_name),
         params=tuple(_parse_set_params(args.set or []).items()),
-        fidelity=getattr(args, "fidelity", DEFAULT_FIDELITY.value),
     )
 
 
@@ -535,12 +475,11 @@ def cmd_list(args: argparse.Namespace) -> int:
     categories: dict[str, list] = {}
     for experiment in experiments:
         categories.setdefault(experiment.category, []).append(experiment)
-    print("experiments ([fidelity] = accepts --fidelity analytic|vectorized|scalar):")
+    print("experiments:")
     for category in sorted(categories):
         print(f"  {category}:")
         for experiment in categories[category]:
-            marker = "[fidelity] " if experiment.supports_fidelity else ""
-            print(f"    {experiment.name:<18} {marker}{experiment.description}")
+            print(f"    {experiment.name:<18} {experiment.description}")
     print()
     print("workloads (any registered model x dataset):")
     for workload in list_workloads():
@@ -588,12 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--smoke", action="store_true", help="shorthand for --scale smoke"
-        )
-        parser.add_argument(
-            "--fidelity",
-            choices=FIDELITY_CHOICES,
-            default=DEFAULT_FIDELITY.value,
-            help="cost-model tier (experiments marked [fidelity] in `repro list`)",
         )
         parser.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
@@ -652,22 +585,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a design-space sweep")
     _add_space_arguments(sweep)
-    _add_engine_arguments(sweep)
     sweep.add_argument(
         "--top", type=int, default=16, metavar="N",
         help="rows of the latency-ranked table to print (default: %(default)s)",
     )
     sweep.add_argument("--out", default=None, help="export records to a .csv/.json file")
-    sweep.add_argument(
-        "--resim-pareto", action="store_true",
-        help="with --fidelity analytic: re-simulate the analytic Pareto band "
-        "at full fidelity (two-phase sweep)",
-    )
     sweep.set_defaults(func=cmd_sweep)
 
     pareto = sub.add_parser("pareto", help="extract per-workload Pareto frontiers")
     _add_space_arguments(pareto)
-    _add_engine_arguments(pareto)
     pareto.add_argument(
         "--from", dest="from_file", default=None, metavar="FILE",
         help="load records from a previous sweep export instead of sweeping",

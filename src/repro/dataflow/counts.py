@@ -25,7 +25,7 @@ The step formulas are written once and evaluate on scalars or numpy arrays
 alike: passed a :class:`~repro.analytic.model.LayerGeometry` (per-layer
 columns) and a :class:`~repro.analytic.model.DensityGrid` (``(points,
 layers)`` densities) instead of one layer spec and its densities, every
-:class:`StepCounts` field comes back as an array.  The analytic tier's
+:class:`StepCounts` field comes back as an array.  The closed-form
 million-point sweeps and the per-layer simulator therefore share one
 definition of every count.
 """

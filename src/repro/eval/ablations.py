@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.analytic import model as analytic_model
 from repro.api import (
     ExperimentReport,
     ExperimentRequest,
@@ -34,7 +35,7 @@ from repro.api import (
     register_experiment,
 )
 from repro.arch.energy import EnergyModel
-from repro.explore.engine import DesignPoint, ExplorationEngine
+from repro.explore.engine import DesignPoint
 from repro.pruning.algorithm import AlgorithmTrace, prune_gradient_batches
 from repro.pruning.threshold import expected_density_after_pruning
 from repro.utils.rng import new_rng
@@ -162,26 +163,20 @@ class SweepPoint:
 
 
 def _sweep_simulate_stage(ctx: PipelineContext) -> list[SweepPoint]:
-    """``simulate`` — evaluate the compiled points through the engine.
+    """``simulate`` — evaluate the compiled points in closed form.
 
-    The ablation pipelines share the engine's evaluation path (analytic
-    densities, matched-resource configs) with the survey-scale sweeps of
-    ``python -m repro sweep``; they stay uncached so calling them is
-    side-effect free, and serial unless the run options ask for workers
-    (``--workers N`` routes here uniformly, like every other experiment).
-    The engine returns one record per *unique* point, so records are matched
-    back to the requested points by key — a repeated parameter value yields
-    a repeated (correctly labelled) sweep point.
+    The ablation pipelines share the evaluator (analytic densities,
+    matched-resource configs) with the survey-scale sweeps of
+    ``python -m repro sweep``.  It returns one record per *unique* point, so
+    records are matched back to the requested points by key — a repeated
+    parameter value yields a repeated (correctly labelled) sweep point.
     """
     compiled = ctx["compile"]
     points, parameters = compiled["points"], compiled["parameters"]
-    options = ctx.options
-    engine = ExplorationEngine(
-        cache=None,
-        max_workers=options.max_workers,
-        parallel=options.parallel and (options.max_workers or 1) > 1,
-    )
-    by_key = {record.key: record for record in engine.run(points)}
+    by_key = {
+        record.key: record
+        for record in analytic_model.evaluate_points_analytic(points)
+    }
     return [
         SweepPoint(
             parameter=parameter,
@@ -209,7 +204,7 @@ def _sweep_pipeline(name: str, compile_stage) -> Pipeline:
         name,
         [
             Stage("compile", compile_stage, "build the design points"),
-            Stage("simulate", _sweep_simulate_stage, "evaluate through the engine"),
+            Stage("simulate", _sweep_simulate_stage, "closed-form evaluation"),
             Stage("report", _sweep_report_stage, "speedup/efficiency table"),
         ],
     )

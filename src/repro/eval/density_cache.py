@@ -26,7 +26,7 @@ from repro.explore.cache import DEFAULT_CACHE_DIR, ResultCache, stable_key
 from repro.obs import metrics
 from repro.sim.trace import MeasuredDensities
 
-# Lives alongside the sweep cache in the gitignored cache directory.
+# Lives in the gitignored cache directory.
 DEFAULT_DENSITY_CACHE_FILE = "densities.jsonl"
 
 # Bump when the measurement pipeline changes in a way that invalidates old

@@ -294,30 +294,14 @@ def compile_stage(ctx: PipelineContext) -> list[WorkloadJob]:
     ]
 
 
-def _simulate_vectorized(ctx: PipelineContext) -> list[WorkloadResult]:
-    return ctx.runner.map(_run_job, ctx["compile"])
-
-
-def _simulate_scalar(ctx: PipelineContext) -> list[WorkloadResult]:
-    # The serial trust anchor: the same jobs, strictly in-process.
-    return [_run_job(job) for job in ctx["compile"]]
-
-
 def simulate_stage(ctx: PipelineContext) -> list[WorkloadResult]:
-    """``simulate`` — both architectures per job, at the requested fidelity.
+    """``simulate`` — both architectures per job, fanned out over the runner.
 
-    Shared by fig8 and fig9.  The ``analytic`` tier runs the simulator path
-    too: both evaluate the same closed forms, and the reports slice the
-    per-(layer, step) results that only the simulator builds.
+    Shared by fig8 and fig9: the reports slice the per-(layer, step) results
+    that only the simulator builds.  ``RunOptions(parallel=False)`` runs the
+    jobs serially in-process.
     """
-    from repro.api import fidelity_dispatch
-
-    return fidelity_dispatch(
-        ctx,
-        vectorized=_simulate_vectorized,
-        analytic=_simulate_vectorized,
-        scalar=_simulate_scalar,
-    )
+    return ctx.runner.map(_run_job, ctx["compile"])
 
 
 def workload_payload(result_workloads: list[WorkloadResult]) -> dict[str, dict[str, float]]:
@@ -349,7 +333,6 @@ def _fig8_report_stage(ctx: PipelineContext) -> ExperimentReport:
     "fig8",
     description="Fig. 8 — per-sample training latency and speedup vs the dense baseline",
     category="paper-figures",
-    supports_fidelity=True,
 )
 def build_fig8_pipeline(request: ExperimentRequest) -> Pipeline:
     return Pipeline(

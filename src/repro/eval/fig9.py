@@ -114,7 +114,6 @@ def _fig9_report_stage(ctx: PipelineContext) -> ExperimentReport:
     "fig9",
     description="Fig. 9 — per-sample training energy, breakdown and efficiency gain",
     category="paper-figures",
-    supports_fidelity=True,
 )
 def build_fig9_pipeline(request: ExperimentRequest) -> Pipeline:
     """The fig8 stage graph with the energy-oriented report stage."""

@@ -5,10 +5,11 @@ densities x ``EnergyModel`` -> latency/energy/area) into a survey-scale tool:
 
 * :mod:`repro.explore.space` — declarative parameter spaces (grids,
   log-ranges, seeded random samples) over architecture and pruning knobs;
-* :mod:`repro.explore.engine` — batched evaluation with deduplication,
-  process-pool parallelism and streaming;
-* :mod:`repro.explore.cache` — persistent JSON-lines result cache keyed by a
-  stable content hash, so repeated sweeps cost file I/O only;
+* :mod:`repro.explore.engine` — design points, evaluation records and the
+  simulator reference evaluation (sweeps themselves evaluate in closed form,
+  :mod:`repro.analytic.model`);
+* :mod:`repro.explore.cache` — the persistent JSON-lines store keyed by a
+  stable content hash (the measured-density cache uses it);
 * :mod:`repro.explore.pareto` — Pareto-frontier extraction and best-point
   queries over latency/energy/area (or speedup/efficiency) objectives;
 * :mod:`repro.explore.report` — CSV/JSON export and text tables.
@@ -20,9 +21,7 @@ the command line (see :mod:`repro.cli`).
 from repro.explore.cache import DEFAULT_CACHE_DIR, ResultCache, stable_key
 from repro.explore.engine import (
     DesignPoint,
-    EngineStats,
     EvaluationRecord,
-    ExplorationEngine,
     analytic_densities,
     evaluate_point,
     points_for,
@@ -64,8 +63,6 @@ __all__ = [
     "paper_neighborhood_space",
     "DesignPoint",
     "EvaluationRecord",
-    "ExplorationEngine",
-    "EngineStats",
     "analytic_densities",
     "evaluate_point",
     "points_for",

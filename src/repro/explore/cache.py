@@ -1,10 +1,10 @@
-"""Persistent JSON-lines cache for design-space evaluation results.
+"""Persistent JSON-lines key -> record store.
 
-Every evaluated point is appended to an on-disk JSON-lines file keyed by a
-stable content hash of its full input description (architecture config dicts,
-workload, density parameters, energy model).  Repeated sweeps — a re-run CLI
-invocation, a CI benchmark, an enlarged grid sharing points with a previous
-one — skip every point that was already simulated with identical inputs.
+Every computed value is appended to an on-disk JSON-lines file keyed by a
+stable content hash of its full input description, so a repeated run skips
+every value already computed with identical inputs.  The measured-density
+cache (:mod:`repro.eval.density_cache`) and the pipeline's per-stage cache
+hook (:meth:`repro.api.PipelineContext.cached`) store through it.
 
 The format is append-only and human-greppable: one ``{"key": ..., "record":
 ...}`` object per line.  If the same key is appended twice (two processes
@@ -24,7 +24,6 @@ from repro.obs import metrics
 
 # Default cache location, relative to the working directory (gitignored).
 DEFAULT_CACHE_DIR = ".repro-cache"
-DEFAULT_CACHE_FILE = "sweeps.jsonl"
 
 
 def stable_key(payload: Mapping[str, Any]) -> str:
@@ -57,9 +56,7 @@ class ResultCache:
     come from.
     """
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        if path is None:
-            path = Path(DEFAULT_CACHE_DIR) / DEFAULT_CACHE_FILE
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._records: dict[str, dict[str, Any]] = {}
         self._hits = 0
@@ -81,7 +78,7 @@ class ResultCache:
                     self._records[entry["key"]] = entry["record"]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     # A truncated line (interrupted writer) only loses that
-                    # one entry; the point is simply re-simulated.
+                    # one entry; the value is simply recomputed.
                     corrupt += 1
         if corrupt:
             self._corrupt = corrupt

@@ -1,39 +1,28 @@
-"""Batched design-point evaluation: dedup, cache, process-pool fan-out.
+"""Design points, their records, and the simulator reference evaluation.
 
-The engine turns ``(architecture overrides, pruning rate, workload)`` points
-into latency/energy/area records by running the layer-level simulator on both
-the SparseTrain and the dense-baseline configuration.  Around that single
-evaluation it layers the machinery a survey-scale sweep needs:
+A :class:`DesignPoint` is one ``(architecture overrides, pruning rate,
+workload)`` request; an :class:`EvaluationRecord` holds its latency, energy
+and area against the dense baseline.  Sweeps, Pareto fronts and the ablation
+sweeps evaluate points in closed form, column by column
+(:func:`repro.analytic.model.evaluate_points_analytic` /
+``evaluate_grid_analytic``).
 
-* **deduplication** — identical points (same content hash) are evaluated once
-  per run no matter how often they appear in the input;
-* **persistent caching** — points found in a :class:`ResultCache` are never
-  re-simulated, so a repeated sweep costs only file I/O;
-* **parallel execution** — cache misses fan out over a
-  ``ProcessPoolExecutor``; a serial fallback keeps tests deterministic and
-  covers sandboxes where spawning processes is forbidden;
-* **streaming** — :meth:`ExplorationEngine.run_iter` yields records as they
-  complete so callers can report progress on long sweeps.
-
-``evaluate_point`` is a module-level function of one picklable argument — the
-unit of work shipped to worker processes, and the single seam tests
-monkeypatch to prove a cached pass performs zero simulator calls.
+:func:`evaluate_point` runs one point through the layer-level simulator
+instead.  It is the reference that the ``analytic-validate`` experiment
+compares the closed form against, and nothing else calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-from repro.api.runner import Runner
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.arch.area import estimate_area
 from repro.arch.config import ArchConfig, dense_baseline_config, sparsetrain_config
 from repro.arch.energy import EnergyModel
 from repro.dataflow.compiler import uniform_densities
 from repro.dataflow.counts import LayerDensities
-from repro.explore.cache import ResultCache, stable_key
 from repro.explore.space import ARCH_AXES, DesignSpace
 from repro.models.spec import ModelSpec
 from repro.models.zoo import get_model_spec, normalize_dataset_name, normalize_model_name
@@ -72,9 +61,8 @@ def analytic_densities(
 
 # Design grids repeat the same handful of architecture overrides across
 # thousands of pruning-rate points, so config construction (frozen-dataclass
-# replace + validation) and the to_dict expansion hashed into cache keys are
-# memoized on the canonical override tuples.  All cached values are frozen
-# dataclasses or read-only payload dicts shared across points.
+# replace + validation) is memoized on the canonical override tuples.  All
+# cached values are frozen dataclasses shared across points.
 
 
 @lru_cache(maxsize=65536)
@@ -95,21 +83,6 @@ def _energy_model_for(
     return EnergyModel().with_overrides(**dict(energy_overrides))
 
 
-@lru_cache(maxsize=65536)
-def _config_payloads(
-    overrides: tuple[tuple[str, Any], ...],
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    sparse, baseline = _configs_for(overrides)
-    return sparse.to_dict(), baseline.to_dict()
-
-
-@lru_cache(maxsize=65536)
-def _energy_payload(
-    energy_overrides: tuple[tuple[str, float], ...],
-) -> dict[str, Any]:
-    return asdict(_energy_model_for(energy_overrides))
-
-
 @dataclass(frozen=True)
 class DesignPoint:
     """One (architecture, pruning rate, workload) evaluation request.
@@ -117,7 +90,7 @@ class DesignPoint:
     ``overrides`` apply to *both* configurations (matched resources, the
     paper's iso-comparison discipline); ``energy_overrides`` replace
     :class:`EnergyModel` constants.  Both are stored as sorted tuples so the
-    point is hashable, picklable and has a canonical JSON form.
+    point is hashable, picklable and has a canonical :attr:`key`.
     """
 
     model: str
@@ -165,34 +138,28 @@ class DesignPoint:
     def workload(self) -> str:
         return f"{self.model}/{self.dataset}"
 
-    def key_payload(self) -> dict[str, Any]:
-        """Full input description hashed into the cache key."""
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "pruning_rate": self.pruning_rate,
-            "densities": {
-                "kind": "analytic",
-                "natural_grad_density": NATURAL_GRADIENT_DENSITY,
-                "activation_density": NATURAL_ACTIVATION_DENSITY,
-            },
-            "sparse_config": dict(_config_payloads(self.overrides)[0]),
-            "baseline_config": dict(_config_payloads(self.overrides)[1]),
-            "energy_model": dict(_energy_payload(self.energy_overrides)),
-        }
-
     @property
     def key(self) -> str:
-        return stable_key(self.key_payload())
+        """Canonical identity of the point: workload, rate and both overrides.
+
+        Two points with equal keys evaluate to the same record, so sweeps
+        deduplicate on it; ``evaluate_grid_analytic`` builds the same string
+        for every grid cell.
+        """
+        return (
+            f"{self.model}/{self.dataset}"
+            f"@{self.pruning_rate!r}|{self.overrides!r}|{self.energy_overrides!r}"
+        )
 
 
 class EvaluationRecord(NamedTuple):
     """Objectives and diagnostics of one evaluated design point.
 
-    A ``NamedTuple`` rather than a frozen dataclass: the analytic tier
-    materializes one of these per grid cell, and ``tuple.__new__`` builds
-    10^5 records ~3x faster than a frozen dataclass ``__init__`` (which
-    pays one ``object.__setattr__`` call per field).
+    A ``NamedTuple`` rather than a frozen dataclass: the closed-form
+    evaluators materialize one of these per grid cell, and
+    ``tuple.__new__`` builds 10^5 records ~3x faster than a frozen
+    dataclass ``__init__`` (which pays one ``object.__setattr__`` call per
+    field).
     """
 
     key: str
@@ -242,7 +209,7 @@ class EvaluationRecord(NamedTuple):
 
 
 def evaluate_point(point: DesignPoint) -> EvaluationRecord:
-    """Simulate one design point (the process-pool work unit)."""
+    """Simulate one design point: the reference for ``analytic-validate``."""
     spec = get_model_spec(point.model, point.dataset)
     densities = analytic_densities(spec, point.pruning_rate)
     sparse_config = point.sparse_config()
@@ -306,96 +273,3 @@ def points_for(
         )
         for rate, overrides in prepared
     ]
-
-
-@dataclass
-class EngineStats:
-    """Bookkeeping of one :meth:`ExplorationEngine.run` call."""
-
-    requested: int = 0
-    unique: int = 0
-    cache_hits: int = 0
-    evaluated: int = 0
-
-    @property
-    def deduplicated(self) -> int:
-        return self.requested - self.unique
-
-    def describe(self) -> str:
-        return (
-            f"{self.requested} points ({self.deduplicated} duplicate), "
-            f"{self.cache_hits} cached, {self.evaluated} simulated"
-        )
-
-
-class ExplorationEngine:
-    """Evaluate batches of design points with dedup, caching and parallelism.
-
-    Parameters
-    ----------
-    cache:
-        Persistent result store; ``None`` disables caching (every unique
-        point is simulated every run).
-    max_workers:
-        Worker-process count for cache misses.  ``None`` lets
-        ``ProcessPoolExecutor`` pick; ``0``/``1`` (or ``parallel=False``)
-        selects the in-process serial path.
-    parallel:
-        Master switch for the process pool; the serial fallback is also used
-        automatically when a pool cannot be created (sandboxed interpreters).
-    """
-
-    def __init__(
-        self,
-        cache: ResultCache | None = None,
-        max_workers: int | None = None,
-        parallel: bool = True,
-    ) -> None:
-        self.cache = cache
-        self.max_workers = max_workers
-        self.parallel = parallel and (max_workers is None or max_workers > 1)
-        self.stats = EngineStats()
-        self._last_order: list[str] = []
-
-    def run(self, points: Iterable[DesignPoint]) -> list[EvaluationRecord]:
-        """Evaluate ``points``, returning one record per unique point.
-
-        Records come back in first-seen input order regardless of the
-        completion order of the worker processes.
-        """
-        records = {record.key: record for record in self.run_iter(points)}
-        return [records[key] for key in self._last_order]
-
-    def run_iter(self, points: Iterable[DesignPoint]) -> Iterator[EvaluationRecord]:
-        """Stream records as they become available (cache hits first)."""
-        stats = EngineStats()
-        unique: dict[str, DesignPoint] = {}
-        for point in points:
-            stats.requested += 1
-            unique.setdefault(point.key, point)
-        stats.unique = len(unique)
-        self._last_order = list(unique)
-        self.stats = stats
-
-        misses: list[DesignPoint] = []
-        for key, point in unique.items():
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                stats.cache_hits += 1
-                yield EvaluationRecord.from_dict(cached)
-            else:
-                misses.append(point)
-
-        for record in self._execute(misses):
-            stats.evaluated += 1
-            if self.cache is not None:
-                self.cache.put(record.key, record.to_dict())
-            yield record
-
-    def _execute(self, misses: list[DesignPoint]) -> Iterator[EvaluationRecord]:
-        # The shared Runner primitive owns the pool, chunk sizing and the
-        # serial fallback; ``evaluate_point`` is resolved through the module
-        # global so tests can monkeypatch it to prove a cached pass performs
-        # zero simulator calls.
-        runner = Runner(max_workers=self.max_workers, parallel=self.parallel)
-        yield from runner.imap(evaluate_point, misses)

@@ -1,14 +1,17 @@
-"""Registered ``sweep`` and ``pareto`` experiments over the exploration engine.
+"""Registered ``sweep`` and ``pareto`` experiments over the closed-form model.
 
 These wrap the design-space subsystem in the :mod:`repro.api` pipeline shape
 (``compile -> simulate -> report``):
 
-* ``compile`` builds the concrete :class:`DesignPoint` grid from the
-  request's workloads and the ``pes`` / ``buffers`` / ``pruning_rates``
-  parameters (optionally a seeded random subsample);
-* ``simulate`` evaluates the points through :class:`ExplorationEngine` —
-  deduplication, the persistent sweep cache resolved from the run options,
-  and worker-pool fan-out through the shared Runner primitive;
+* ``compile`` builds the design grid from the request's workloads and the
+  ``pes`` / ``buffers`` / ``pruning_rates`` parameters: an axis-form
+  :class:`~repro.analytic.model.AnalyticGridPlan` for a full duplicate-free
+  grid, else a :class:`DesignPoint` list (a seeded random subsample, or axes
+  with repeated values);
+* ``simulate`` evaluates it in closed form
+  (:func:`~repro.analytic.model.evaluate_grid_analytic` /
+  :func:`~repro.analytic.model.evaluate_points_analytic`), one record per
+  unique point;
 * ``report`` renders the latency-ranked table (``sweep``) or per-workload
   Pareto frontiers (``pareto``).
 
@@ -20,24 +23,23 @@ from __future__ import annotations
 import operator
 from typing import Any
 
-from repro.analytic.fidelity import Fidelity, fidelity_of
+from repro.analytic import model as analytic_model
 from repro.api import (
     ExperimentReport,
     ExperimentRequest,
     Pipeline,
     PipelineContext,
     Stage,
-    fidelity_dispatch,
     register_experiment,
 )
-from repro.explore.engine import DesignPoint, ExplorationEngine, points_for
+from repro.explore.engine import points_for
 from repro.explore.pareto import parse_objectives, pareto_by_workload
 from repro.explore.space import DesignSpace, grid_axis
 from repro.explore.report import format_frontier, format_records_table
 from repro.models.zoo import normalize_dataset_name, normalize_model_name
 
 # Sweep payloads are stored verbatim by the serve job store; a million-point
-# analytic sweep must not turn one SQLite row into a gigabyte.  Reports keep
+# sweep must not turn one SQLite row into a gigabyte.  Reports keep
 # the full record list in ``native`` and cap the serialized payload at this
 # many (latency-ranked) records unless the request overrides ``max_records``.
 DEFAULT_MAX_PAYLOAD_RECORDS = 10000
@@ -58,32 +60,18 @@ DEFAULT_OBJECTIVE_NAMES: tuple[str, ...] = ("latency_us", "energy_uj", "area_mm2
 def _compile_stage(ctx: PipelineContext):
     """``compile`` — cross the parameter grid with the workload list.
 
-    Returns a :class:`DesignPoint` list, except for full (unsampled,
-    duplicate-free) grids at analytic fidelity, which stay in axis form
+    Returns a :class:`DesignPoint` list, except for full (unsampled) grids
+    over distinct workloads, which stay in axis form
     (:class:`~repro.analytic.model.AnalyticGridPlan`): at 10^5+ points,
     materializing one point object per cell would dwarf the closed-form
-    evaluation itself.
+    evaluation itself.  The axes are validated first (non-empty,
+    duplicate-free), so every cell of such a grid is a distinct point.
     """
     request = ctx.request
     workloads = request.workloads or DEFAULT_SWEEP_WORKLOADS
     pes = tuple(request.param("pes", list(DEFAULT_PES)))
     buffers = tuple(request.param("buffers", list(DEFAULT_BUFFERS)))
     rates = tuple(request.param("pruning_rates", list(DEFAULT_RATES)))
-    sample = request.param("sample")
-    if sample is None and fidelity_of(request) is Fidelity.ANALYTIC and all(
-        len(set(axis)) == len(axis) for axis in (pes, buffers, rates)
-    ):
-        from repro.analytic.model import AnalyticGridPlan
-
-        return AnalyticGridPlan(
-            workloads=tuple(
-                (normalize_model_name(m), normalize_dataset_name(d))
-                for m, d in workloads
-            ),
-            pes=pes,
-            buffers=buffers,
-            rates=rates,
-        )
     space = DesignSpace(
         axes=(
             grid_axis("num_pes", pes),
@@ -91,102 +79,36 @@ def _compile_stage(ctx: PipelineContext):
             grid_axis("pruning_rate", rates),
         )
     )
+    sample = request.param("sample")
+    workloads = tuple(
+        (normalize_model_name(m), normalize_dataset_name(d)) for m, d in workloads
+    )
+    if sample is None and len(set(workloads)) == len(workloads):
+        return analytic_model.AnalyticGridPlan(
+            workloads=workloads,
+            pes=pes,
+            buffers=buffers,
+            rates=rates,
+        )
     return points_for(space, workloads, sample=sample, seed=request.param("seed", 0))
 
 
-def _engine_for(ctx: PipelineContext, parallel: bool | None = None) -> ExplorationEngine:
-    options = ctx.options
-    cache = ctx.extras.get("sweep_cache")
-    if cache is None and "sweep_cache" not in ctx.extras:
-        cache = options.sweep_cache()
-    return ExplorationEngine(
-        cache=cache,
-        max_workers=options.max_workers,
-        parallel=options.parallel if parallel is None else parallel,
-    )
-
-
-def _simulate_vectorized(ctx: PipelineContext) -> dict[str, Any]:
-    """The default tier: the cached, parallel instruction-stream engine."""
-    engine = _engine_for(ctx)
-    records = engine.run(ctx["compile"])
-    return {"records": records, "stats": engine.stats.describe()}
-
-
-def _simulate_scalar(ctx: PipelineContext) -> dict[str, Any]:
-    """The serial trust anchor: same engine, parallelism forced off."""
-    engine = _engine_for(ctx, parallel=False)
-    records = engine.run(ctx["compile"])
-    return {"records": records, "stats": engine.stats.describe()}
-
-
-def _simulate_analytic(ctx: PipelineContext) -> dict[str, Any]:
-    """The closed-form tier, optionally followed by a Pareto re-simulation.
-
-    Analytic records carry fidelity-salted keys
-    (:func:`repro.analytic.model.analytic_point_key`) and are *not* written
-    to the sweep cache: a point costs microseconds, so caching would only
-    bloat the JSONL store without saving time.  With ``resim_pareto`` the
-    per-workload Pareto band of the analytic sweep is re-evaluated through
-    the regular engine — legacy keys, cache and all — so the band records
-    are bit-identical to simulating those points directly.
-    """
-    from repro.analytic.model import (
-        AnalyticGridPlan,
-        analytic_point_key,
-        evaluate_grid_analytic,
-        evaluate_points_analytic,
-    )
-
-    compiled = ctx["compile"]
-    if isinstance(compiled, AnalyticGridPlan):
-        records = evaluate_grid_analytic(compiled)
-        duplicates = 0  # duplicate-free axes => every grid cell is distinct
-    else:
-        records = evaluate_points_analytic(compiled)
-        duplicates = len(compiled) - len(records)
-    stats = (
-        f"{len(compiled)} points ({duplicates} duplicate), "
-        f"{len(records)} analytic (closed-form)"
-    )
-    result: dict[str, Any] = {"records": records, "stats": stats}
-    if not ctx.request.param("resim_pareto", False):
-        return result
-
-    # Phase two: re-simulate only the analytic Pareto band.
-    objectives = parse_objectives(
-        tuple(ctx.request.param("objectives", list(DEFAULT_OBJECTIVE_NAMES)))
-    )
-    frontiers = pareto_by_workload(records, objectives)
-    band_records = [
-        record
-        for workload in sorted(frontiers)
-        for record in frontiers[workload]
-    ]
-    if isinstance(compiled, AnalyticGridPlan):
-        # Grid points carry no energy overrides, so the band points can be
-        # reconstructed from their records directly.
-        band_points = [
-            DesignPoint(r.model, r.dataset, r.pruning_rate, r.overrides)
-            for r in band_records
-        ]
-    else:
-        point_by_key = {analytic_point_key(point): point for point in compiled}
-        band_points = [point_by_key[record.key] for record in band_records]
-    engine = _engine_for(ctx)
-    result["resimulated"] = engine.run(band_points)
-    result["resim_stats"] = engine.stats.describe()
-    return result
-
-
 def _simulate_stage(ctx: PipelineContext) -> dict[str, Any]:
-    """``simulate`` — evaluate at the tier the request's fidelity asks for."""
-    return fidelity_dispatch(
-        ctx,
-        vectorized=_simulate_vectorized,
-        analytic=_simulate_analytic,
-        scalar=_simulate_scalar,
+    """``simulate`` — evaluate the grid or point list in closed form.
+
+    The evaluators are looked up on their module at call time, so a wrapper
+    installed there (a tracer, a test spy) sees every call.
+    """
+    compiled = ctx["compile"]
+    if isinstance(compiled, analytic_model.AnalyticGridPlan):
+        records = analytic_model.evaluate_grid_analytic(compiled)
+    else:
+        records = analytic_model.evaluate_points_analytic(compiled)
+    stats = (
+        f"{len(compiled)} points ({len(compiled) - len(records)} duplicate), "
+        f"{len(records)} evaluated (closed form)"
     )
+    return {"records": records, "stats": stats}
 
 
 def _sweep_report_stage(ctx: PipelineContext) -> ExperimentReport:
@@ -204,20 +126,7 @@ def _sweep_report_stage(ctx: PipelineContext) -> ExperimentReport:
     if len(records) > max_records:
         payload["records_truncated"] = True
         payload["records_total"] = len(records)
-    native: dict[str, Any] = {"records": records, "stats": stats}
-    if "resimulated" in simulated:
-        resimulated = simulated["resimulated"]
-        resim_stats = simulated.get("resim_stats", "")
-        payload["resimulated"] = [record.to_dict() for record in resimulated]
-        payload["resim_stats"] = resim_stats
-        native["resimulated"] = resimulated
-        native["resim_stats"] = resim_stats
-        summary += (
-            f"\n\nre-simulated Pareto band ({len(resimulated)} points; {resim_stats}):\n"
-            + format_records_table(
-                sorted(resimulated, key=operator.attrgetter("latency_us")), limit=top
-            )
-        )
+    native = {"records": records, "stats": stats}
     return ExperimentReport(payload=payload, summary=summary, native=native)
 
 
@@ -251,14 +160,13 @@ def _pareto_report_stage(ctx: PipelineContext) -> ExperimentReport:
     "sweep",
     description="Design-space sweep (PE count x buffer x pruning rate x workloads)",
     category="design-space",
-    supports_fidelity=True,
 )
 def build_sweep_pipeline(request: ExperimentRequest) -> Pipeline:
     return Pipeline(
         "sweep",
         [
             Stage("compile", _compile_stage, "build the design-point grid"),
-            Stage("simulate", _simulate_stage, "cached, parallel engine evaluation"),
+            Stage("simulate", _simulate_stage, "closed-form evaluation"),
             Stage("report", _sweep_report_stage, "latency-ranked records table"),
         ],
     )
@@ -268,7 +176,6 @@ def build_sweep_pipeline(request: ExperimentRequest) -> Pipeline:
     "pareto",
     description="Per-workload Pareto frontiers over a design-space sweep",
     category="design-space",
-    supports_fidelity=True,
 )
 def build_pareto_pipeline(request: ExperimentRequest) -> Pipeline:
     # Fail on a bad objective list at build time, before any simulation runs.
@@ -277,7 +184,7 @@ def build_pareto_pipeline(request: ExperimentRequest) -> Pipeline:
         "pareto",
         [
             Stage("compile", _compile_stage, "build the design-point grid"),
-            Stage("simulate", _simulate_stage, "cached, parallel engine evaluation"),
+            Stage("simulate", _simulate_stage, "closed-form evaluation"),
             Stage("report", _pareto_report_stage, "Pareto frontier extraction"),
         ],
     )

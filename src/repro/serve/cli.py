@@ -23,8 +23,6 @@ import sys
 import threading
 from typing import Any, Sequence
 
-from repro.analytic.fidelity import DEFAULT_FIDELITY, FIDELITY_CHOICES
-
 DEFAULT_DB = ".repro-cache/serve.db"
 
 
@@ -681,10 +679,6 @@ def register_serve_commands(
     submit.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="experiment-specific parameter (JSON values accepted; repeatable)",
-    )
-    submit.add_argument(
-        "--fidelity", choices=FIDELITY_CHOICES, default=DEFAULT_FIDELITY.value,
-        help="cost-model tier (content-hash-affecting: tiers dedup separately)",
     )
     submit.add_argument("--priority", type=int, default=0)
     submit.add_argument(

@@ -7,7 +7,7 @@ Each worker atomically *leases* the next due job (priority first, FIFO
 within a priority, retry-backoff gates respected), executes it through
 :func:`repro.api.run_experiment` — i.e. through the exact registered
 pipeline the CLI runs, including the shared :class:`~repro.api.Runner`
-process-pool fan-out and the persistent density / sweep disk caches, so a
+process-pool fan-out and the persistent density cache, so a
 job whose stages were computed before short-circuits to cached artifacts —
 and persists the outcome.
 

@@ -248,18 +248,6 @@ class Job:
             return False
         return self.lease_expires_at <= (time.time() if now is None else now)
 
-    @property
-    def fidelity(self) -> str:
-        """The request's cost-model tier (from the stored request JSON)."""
-        from repro.analytic.fidelity import DEFAULT_FIDELITY
-
-        try:
-            return json.loads(self.request_json).get(
-                "fidelity", DEFAULT_FIDELITY.value
-            )
-        except (ValueError, AttributeError):
-            return DEFAULT_FIDELITY.value
-
     def request(self) -> ExperimentRequest:
         return ExperimentRequest.from_json(self.request_json)
 
@@ -293,7 +281,6 @@ class Job:
             "deadline_s": self.deadline_s,
             "complete_count": self.complete_count,
             "trace_id": self.trace_id,
-            "fidelity": self.fidelity,
             "request": json.loads(self.request_json),
         }
         if include_result:

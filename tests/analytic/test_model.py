@@ -1,4 +1,4 @@
-"""The analytic tier must agree with the simulator to float-noise level.
+"""The closed-form model must agree with the simulator to float-noise level.
 
 Both paths evaluate the same closed-form formulas; they differ only in float
 rounding (summation order, energy charged on totals), so any disagreement
@@ -15,7 +15,6 @@ from repro.analytic.model import (
     ArchGrid,
     DensityGrid,
     LayerGeometry,
-    analytic_point_key,
     evaluate_points_analytic,
 )
 from repro.arch.accelerator import compute_cycles
@@ -93,21 +92,22 @@ class TestBatchedRecordsMatchSimulator:
 
 
 class TestAnalyticKeys:
-    def test_salted_keys_differ_from_simulator_keys(self):
-        for point in POINTS:
-            assert analytic_point_key(point) != point.key
-
-    def test_records_carry_salted_keys(self):
+    def test_keys_equal_simulator_keys(self):
         records = evaluate_points_analytic(POINTS[:2])
         assert [record.key for record in records] == [
-            analytic_point_key(point) for point in POINTS[:2]
+            evaluate_point(point).key for point in POINTS[:2]
         ]
+
+    def test_records_carry_point_keys(self):
+        records = evaluate_points_analytic(POINTS)
+        assert [record.key for record in records] == [point.key for point in POINTS]
+        assert POINTS[0].key == "AlexNet/CIFAR-10@0.9|()|()"
 
     def test_dedup_first_seen_order(self):
         records = evaluate_points_analytic([POINTS[0], POINTS[1], POINTS[0]])
         assert len(records) == 2
-        assert records[0].key == analytic_point_key(POINTS[0])
-        assert records[1].key == analytic_point_key(POINTS[1])
+        assert records[0].key == POINTS[0].key
+        assert records[1].key == POINTS[1].key
 
     def test_chunking_is_invisible(self):
         many = [

@@ -1,14 +1,22 @@
-"""Two-phase sweeps: analytic full grid, Pareto band re-simulated exactly."""
+"""Sweeps through the one closed-form evaluator.
+
+Every design point of ``sweep``, ``pareto`` and the ablation sweeps is
+evaluated by ``evaluate_points_analytic`` / ``evaluate_grid_analytic``.  The
+simulator walk (``evaluate_point``) is the reference they must match within
+``analytic-validate``'s per-metric bounds.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analytic import model as analytic_model
+from repro.analytic.validate import DEFAULT_ERROR_BOUNDS
 from repro.api import ExperimentRequest, RunOptions, run_experiment
-from repro.explore.engine import DesignPoint, ExplorationEngine
+from repro.explore.engine import DesignPoint, evaluate_point
 
 
-def _sweep_request(**extra_params) -> ExperimentRequest:
+def _sweep_request(workloads=None, **extra_params) -> ExperimentRequest:
     params = {
         "pes": [84, 168, 336],
         "buffers": [192, 386],
@@ -17,61 +25,88 @@ def _sweep_request(**extra_params) -> ExperimentRequest:
     }
     return ExperimentRequest(
         experiment="sweep",
-        workloads=(("AlexNet", "CIFAR-10"), ("ResNet-18", "CIFAR-10")),
+        workloads=workloads or (("AlexNet", "CIFAR-10"), ("ResNet-18", "CIFAR-10")),
         params=params,
-        fidelity="analytic",
     )
 
 
-class TestTwoPhaseSweep:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment(
-            _sweep_request(resim_pareto=True),
-            options=RunOptions(use_cache=False, parallel=False),
-        )
+def _assert_matches_simulator(record, point: DesignPoint) -> None:
+    """All seven metrics of ``record`` within the validation bounds."""
+    reference = evaluate_point(point)
+    assert record.key == reference.key
+    for metric, bound in DEFAULT_ERROR_BOUNDS.items():
+        expected = getattr(reference, metric)
+        error = abs(getattr(record, metric) - expected) / max(abs(expected), 1e-300)
+        assert error <= bound, (point, metric, error)
 
-    def test_band_is_bit_identical_to_direct_simulation(self, result):
-        resimulated = result.native["resimulated"]
-        assert resimulated
-        # Re-simulate the same points directly through a fresh engine: the
-        # band records must match bit for bit (same keys, same floats).
+
+def _point(record) -> DesignPoint:
+    return DesignPoint(record.model, record.dataset, record.pruning_rate, record.overrides)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record every call of ``analytic_model.<name>`` as (args, result)."""
+    calls = []
+    real = getattr(analytic_model, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(analytic_model, name, spy)
+    return calls
+
+
+class TestSweepMatchesSimulator:
+    def test_sampled_sweep_matches_simulator(self):
+        # The same workload twice: every sampled point appears twice.
+        result = run_experiment(
+            _sweep_request(
+                workloads=(("AlexNet", "CIFAR-10"), ("alexnet", "cifar10")),
+                sample=5,
+                seed=3,
+            ),
+            options=RunOptions(use_cache=False),
+        )
+        records = result.native["records"]
+        assert len(records) == 5
+        assert result.native["stats"].startswith("10 points (5 duplicate), 5 evaluated")
+        for record in records:
+            _assert_matches_simulator(record, _point(record))
+
+    def test_energy_overrides_match_simulator(self):
         points = [
+            DesignPoint("AlexNet", "CIFAR-10", 0.9, energy_overrides=(("sram_pj", 12.0),)),
             DesignPoint(
-                model=record.model,
-                dataset=record.dataset,
-                pruning_rate=record.pruning_rate,
-                overrides=record.overrides,
-            )
-            for record in resimulated
+                "MobileNetV1",
+                "CIFAR-10",
+                0.6,
+                overrides=(("num_pes", 84),),
+                energy_overrides=(("dram_pj", 80.0), ("mac_pj", 0.5)),
+            ),
         ]
-        direct = ExplorationEngine(cache=None, parallel=False).run(points)
-        assert [r.to_dict() for r in direct] == [r.to_dict() for r in resimulated]
+        for record, point in zip(analytic_model.evaluate_points_analytic(points), points):
+            _assert_matches_simulator(record, point)
 
-    def test_band_uses_legacy_simulator_keys(self, result):
-        analytic_keys = {record.key for record in result.native["records"]}
-        for record in result.native["resimulated"]:
-            assert record.key not in analytic_keys
+    @pytest.mark.parametrize(
+        "run_sweep, kwargs",
+        [
+            ("run_pe_sweep", {"pe_counts": (42, 84, 336)}),
+            ("run_pruning_rate_sweep", {"pruning_rates": (0.0, 0.5, 0.95)}),
+        ],
+    )
+    def test_ablation_sweeps_match_simulator(self, monkeypatch, run_sweep, kwargs):
+        from repro.eval import ablations
 
-    def test_band_is_a_subset_of_the_grid(self, result):
-        grid = {
-            (r.model, r.dataset, r.pruning_rate, r.num_pes, r.buffer_kib)
-            for r in result.native["records"]
-        }
-        band = {
-            (r.model, r.dataset, r.pruning_rate, r.num_pes, r.buffer_kib)
-            for r in result.native["resimulated"]
-        }
-        assert band <= grid
-        assert len(band) < len(grid)
-
-    def test_payload_carries_both_phases(self, result):
-        assert len(result.payload["records"]) == len(result.native["records"])
-        assert len(result.payload["resimulated"]) == len(
-            result.native["resimulated"]
-        )
-        assert "analytic" in result.payload["stats"]
-        assert "simulated" in result.payload["resim_stats"]
+        calls = _spy(monkeypatch, "evaluate_points_analytic")
+        sweep = getattr(ablations, run_sweep)(**kwargs)
+        ((args, records),) = calls
+        assert len(records) == len(sweep) == 3
+        for point, record, sweep_point in zip(args[0], records, sweep):
+            _assert_matches_simulator(record, point)
+            assert sweep_point.speedup == record.speedup
+            assert sweep_point.energy_efficiency == record.energy_efficiency
 
 
 class TestGridFastPath:
@@ -102,40 +137,49 @@ class TestGridFastPath:
         assert len(grid) == len(via_points) == 24
         assert [r.to_dict() for r in grid] == [r.to_dict() for r in via_points]
 
-    def test_sampled_sweep_uses_the_point_path(self):
+    def test_sampled_sweep_uses_the_point_path(self, monkeypatch):
         # ``sample`` has seeded-subset semantics the grid plan cannot honour.
+        grid_calls = _spy(monkeypatch, "evaluate_grid_analytic")
+        point_calls = _spy(monkeypatch, "evaluate_points_analytic")
         result = run_experiment(
             _sweep_request(sample=5, seed=1),
-            options=RunOptions(use_cache=False, parallel=False),
+            options=RunOptions(use_cache=False),
         )
         assert len(result.native["records"]) == 10  # 5 sampled x 2 workloads
-        for record in result.native["records"]:
-            assert record.key.startswith("analytic:")
+        assert not grid_calls
+        assert len(point_calls) == 1
+
+    def test_duplicate_workloads_use_the_point_path(self, monkeypatch):
+        # A repeated workload repeats every grid cell; the point path
+        # evaluates each cell once.
+        grid_calls = _spy(monkeypatch, "evaluate_grid_analytic")
+        result = run_experiment(
+            _sweep_request(workloads=(("AlexNet", "CIFAR-10"), ("alexnet", "cifar10"))),
+            options=RunOptions(use_cache=False),
+        )
+        assert not grid_calls
+        assert len(result.native["records"]) == 12
+        assert result.native["stats"].startswith("24 points (12 duplicate), 12 evaluated")
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError, match="has no values"):
+            run_experiment(_sweep_request(pes=[]), options=RunOptions(use_cache=False))
 
     def test_duplicate_axis_values_rejected_like_every_tier(self):
         # The grid plan only covers duplicate-free axes; duplicates fall
-        # through to the DesignSpace path, which rejects them exactly as the
-        # vectorized tier would.
+        # through to the DesignSpace path, which rejects them.
         with pytest.raises(ValueError, match="duplicate values"):
             run_experiment(
                 _sweep_request(pes=[84, 84, 168]),
-                options=RunOptions(use_cache=False, parallel=False),
+                options=RunOptions(use_cache=False),
             )
 
 
 class TestAnalyticSweepWithoutResim:
-    def test_no_band_by_default(self):
-        result = run_experiment(
-            _sweep_request(),
-            options=RunOptions(use_cache=False, parallel=False),
-        )
-        assert "resimulated" not in result.native
-        assert "resimulated" not in result.payload
-
     def test_payload_record_cap(self):
         result = run_experiment(
             _sweep_request(max_records=5),
-            options=RunOptions(use_cache=False, parallel=False),
+            options=RunOptions(use_cache=False),
         )
         assert len(result.native["records"]) == 24
         assert len(result.payload["records"]) == 5
@@ -146,15 +190,14 @@ class TestAnalyticSweepWithoutResim:
         assert kept == sorted(kept)
 
     def test_analytic_records_not_written_to_sweep_cache(self, tmp_path):
-        options = RunOptions(use_cache=True, cache_dir=tmp_path, parallel=False)
-        run_experiment(_sweep_request(), options=options)
-        cache = options.sweep_cache()
-        assert len(cache) == 0
+        # Design points are never persisted: a sweep leaves the cache
+        # directory as it found it.
+        run_experiment(_sweep_request(), options=RunOptions(cache_dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
-    def test_large_grid_is_fast(self):
-        # ~2.4k points in well under the simulated default's wall clock.
-        import time
-
+    def test_large_grid_is_one_grid_call(self, monkeypatch):
+        calls = _spy(monkeypatch, "evaluate_grid_analytic")
+        point_calls = _spy(monkeypatch, "evaluate_points_analytic")
         request = ExperimentRequest(
             experiment="sweep",
             workloads=(("AlexNet", "CIFAR-10"),),
@@ -163,12 +206,8 @@ class TestAnalyticSweepWithoutResim:
                 "buffers": list(range(64, 364, 50)),
                 "pruning_rates": [0.5 + 0.05 * i for i in range(10)],
             },
-            fidelity="analytic",
         )
-        start = time.perf_counter()
-        result = run_experiment(
-            request, options=RunOptions(use_cache=False, parallel=False)
-        )
-        elapsed = time.perf_counter() - start
-        assert len(result.native["records"]) == 40 * 6 * 10
-        assert elapsed < 30.0
+        result = run_experiment(request, options=RunOptions(use_cache=False))
+        assert len(calls) == 1 and not point_calls
+        assert len(calls[0][1]) == 40 * 6 * 10
+        assert result.native["records"] == calls[0][1]

@@ -1,22 +1,21 @@
-"""Hash stability of the fidelity field.
+"""Hash stability of requests that carry the legacy ``fidelity`` input.
 
-Two invariants guard the caches:
+Requests once had a hash-affecting ``fidelity`` tier.  It is still accepted
+(and validated) but never serialized, so:
 
-* legacy requests (no fidelity / default fidelity) keep their pre-field
-  content hashes bit for bit — pinned below against hashes computed before
-  the field existed;
-* requests differing only in fidelity hash differently, so neither the
-  serve store's dedup-by-hash nor the sweep ResultCache can ever mix tiers.
+* requests keep their content hashes bit for bit — pinned below against
+  hashes computed before the field existed;
+* a request hashes the same whichever legacy tier it names, so identical
+  submissions dedup however old the client that sent them.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.analytic.model import analytic_point_key
 from repro.api import ExperimentRequest
-from repro.explore.cache import ResultCache
-from repro.explore.engine import DesignPoint
 
 # Content hashes computed on the seed code base, before the fidelity field
 # existed.  These must never change.
@@ -50,7 +49,7 @@ class TestLegacyHashStability:
     def test_default_fidelity_not_serialized(self):
         data = _sweep_request().to_dict()
         assert "fidelity" not in data
-        assert ExperimentRequest.from_dict(data).fidelity == "vectorized"
+        assert ExperimentRequest.from_dict(data).to_dict() == data
 
     def test_explicit_default_equals_legacy(self):
         assert (
@@ -58,49 +57,41 @@ class TestLegacyHashStability:
         )
 
 
-class TestTierSeparation:
-    def test_fidelity_changes_the_hash(self):
-        hashes = {
-            _sweep_request(fidelity=tier).content_hash
-            for tier in ("analytic", "vectorized", "scalar")
-        }
-        assert len(hashes) == 3
+class TestLegacyFidelityInput:
+    def test_legacy_tiers_hash_like_no_fidelity(self):
+        for tier in ("analytic", "scalar", "vectorized"):
+            request = _sweep_request(fidelity=tier)
+            assert request.content_hash == PINNED_SWEEP_HASH
+            assert "fidelity" not in request.to_dict()
+            data = dict(_sweep_request().to_dict(), fidelity=tier)
+            assert ExperimentRequest.from_dict(data).content_hash == PINNED_SWEEP_HASH
 
-    def test_non_default_fidelity_round_trips(self):
-        request = _sweep_request(fidelity="analytic")
-        data = request.to_dict()
-        assert data["fidelity"] == "analytic"
-        restored = ExperimentRequest.from_dict(data)
-        assert restored == request
-        assert restored.content_hash == request.content_hash
+    def test_bogus_fidelity_raises(self):
+        with pytest.raises(ValueError, match="unknown fidelity"):
+            _sweep_request(fidelity="bogus")
+        with pytest.raises(ValueError, match="unknown fidelity"):
+            ExperimentRequest.from_dict(dict(_sweep_request().to_dict(), fidelity="bogus"))
 
-    def test_serve_store_dedup_keeps_tiers_apart(self, tmp_path):
+    def test_stored_analytic_job_row_still_loads(self, tmp_path):
         from repro.serve.store import JobStore
 
         store = JobStore(tmp_path / "serve.db")
         try:
-            legacy, deduped_a = store.submit(_sweep_request())
-            analytic, deduped_b = store.submit(_sweep_request(fidelity="analytic"))
-            again, deduped_c = store.submit(_sweep_request(fidelity="analytic"))
-            assert not deduped_a and not deduped_b
-            assert legacy.id != analytic.id
-            assert deduped_c and again.id == analytic.id
-            assert legacy.fidelity == "vectorized"
-            assert analytic.fidelity == "analytic"
-            assert analytic.to_dict()["fidelity"] == "analytic"
+            job, _ = store.submit(_sweep_request())
+            # A row written when the request schema still stored the tier.
+            legacy_json = json.dumps(dict(_sweep_request().to_dict(), fidelity="analytic"))
+            with store._lock:
+                store._conn.execute(
+                    "UPDATE jobs SET request = ? WHERE id = ?", (legacy_json, job.id)
+                )
+                store._conn.commit()
+            row = store.get(job.id)
+            assert row.request() == _sweep_request()
+            payload = row.to_dict()
+            assert payload["request"]["fidelity"] == "analytic"
+            assert "fidelity" not in {key for key in payload if key != "request"}
+            # A new submission naming the old tier dedups onto the same job.
+            again, deduped = store.submit(_sweep_request(fidelity="analytic"))
+            assert deduped and again.id == job.id
         finally:
             store.close()
-
-    def test_result_cache_keys_keep_tiers_apart(self, tmp_path):
-        point = DesignPoint(model="AlexNet", dataset="CIFAR-10", pruning_rate=0.9)
-        assert analytic_point_key(point) != point.key
-        cache = ResultCache(tmp_path / "sweep.jsonl")
-        from repro.analytic.model import evaluate_points_analytic
-        from repro.explore.engine import evaluate_point
-
-        simulated = evaluate_point(point)
-        analytic = evaluate_points_analytic([point])[0]
-        cache.put(simulated.key, simulated.to_dict())
-        cache.put(analytic.key, analytic.to_dict())
-        assert cache.get(point.key) == simulated.to_dict()
-        assert cache.get(analytic_point_key(point)) == analytic.to_dict()

@@ -131,9 +131,7 @@ class TestRunOptions:
     def test_caches_disabled(self):
         options = RunOptions(use_cache=False)
         assert options.density_cache() is None
-        assert options.sweep_cache() is None
 
     def test_caches_land_in_cache_dir(self, tmp_path):
         options = RunOptions(cache_dir=tmp_path)
         assert str(options.density_cache().path).startswith(str(tmp_path))
-        assert str(options.sweep_cache().path).startswith(str(tmp_path))

@@ -11,15 +11,12 @@ import repro.api as api
 
 # The frozen public surface.  Keep sorted.
 EXPECTED_SURFACE = [
-    "DEFAULT_FIDELITY",
     "DeadlineExceeded",
     "EXPERIMENTS",
     "Experiment",
     "ExperimentReport",
     "ExperimentRequest",
     "ExperimentResult",
-    "FIDELITY_CHOICES",
-    "Fidelity",
     "Pipeline",
     "PipelineContext",
     "Registry",
@@ -33,8 +30,6 @@ EXPECTED_SURFACE = [
     "canonical_json",
     "content_hash",
     "default_runner",
-    "fidelity_dispatch",
-    "fidelity_of",
     "get_experiment",
     "get_workload",
     "list_experiments",

@@ -3,7 +3,7 @@
 ``forward_counts``/``gta_counts``/``gtw_counts`` and the weight-tiling factor
 are written once and evaluate on one layer spec or on a whole model's
 per-layer columns (:class:`LayerGeometry` + :class:`DensityGrid`).  The
-analytic tier relies on the columnar call; the simulator on the scalar one.
+closed-form model relies on the columnar call; the simulator on the scalar one.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Seeded property tests for the closed-form counts helpers.
 
-The analytic tier reuses ``compressed_words``/``skip_factor`` element-wise
+The closed-form model reuses ``compressed_words``/``skip_factor`` element-wise
 over whole design grids, so their scalar algebraic properties — monotonicity
 in density, additivity of totals, dense-path equivalence — are load-bearing
 beyond the original scalar call sites.

@@ -3,7 +3,7 @@
 ``run_pruning_rate_sweep`` / ``run_pe_sweep`` / ``run_energy_sensitivity``
 were previously exercised only through the benchmark suite; these tests pin
 their contracts (point counts, parameter echoes, monotonicity and routing
-through the exploration engine) at tier-1 speed.
+through the closed-form evaluator) at tier-1 speed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.eval.ablations import (
     run_pe_sweep,
     run_pruning_rate_sweep,
 )
-from repro.explore import engine as engine_module
+from repro.analytic import model as analytic_model
 
 
 class TestPruningRateSweep:
@@ -91,16 +91,16 @@ class TestEnergySensitivity:
 
 
 class TestEngineRouting:
-    def test_sweeps_run_through_the_exploration_engine(self, monkeypatch):
-        """The ablation harnesses share the engine's evaluation path."""
+    def test_sweeps_run_through_the_closed_form_evaluator(self, monkeypatch):
+        """The ablation harnesses share the sweeps' evaluation path."""
         calls = []
-        real = engine_module.evaluate_point
+        real = analytic_model.evaluate_points_analytic
 
-        def counting(point):
-            calls.append(point)
-            return real(point)
+        def counting(points):
+            calls.append(list(points))
+            return real(points)
 
-        monkeypatch.setattr(engine_module, "evaluate_point", counting)
+        monkeypatch.setattr(analytic_model, "evaluate_points_analytic", counting)
         run_pe_sweep(pe_counts=(84, 168))
-        assert len(calls) == 2
-        assert {p.sparse_config().num_pes for p in calls} == {84, 168}
+        (points,) = calls
+        assert [p.sparse_config().num_pes for p in points] == [84, 168]

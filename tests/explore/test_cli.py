@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analytic import model as analytic_model
 from repro.cli import build_parser, main
-from repro.explore import engine as engine_module
 from repro.explore.report import load_records
+
+
+def forbid_evaluation(monkeypatch, reason: str) -> None:
+    """Make any design-point evaluation fail the test."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError(reason)
+
+    monkeypatch.setattr(analytic_model, "evaluate_points_analytic", boom)
+    monkeypatch.setattr(analytic_model, "evaluate_grid_analytic", boom)
 
 
 def run_cli(args, capsys):
@@ -16,36 +26,17 @@ def run_cli(args, capsys):
 
 
 class TestSweepCommand:
-    def test_smoke_sweep_serial(self, tmp_path, capsys):
-        code, out = run_cli(
-            ["sweep", "--smoke", "--serial", "--cache-dir", str(tmp_path)], capsys
-        )
+    def test_smoke_sweep_serial(self, capsys):
+        code, out = run_cli(["sweep", "--smoke"], capsys)
         assert code == 0
         assert "AlexNet/CIFAR-10" in out
         assert "ResNet-18/CIFAR-10" in out
-        assert "4 points (0 duplicate), 0 cached, 4 simulated" in out
+        assert "4 points (0 duplicate), 4 evaluated (closed form)" in out
 
-    def test_second_invocation_is_fully_cached(self, tmp_path, capsys, monkeypatch):
-        """Acceptance: the repeated CLI sweep performs zero simulator calls."""
-        run_cli(["sweep", "--smoke", "--serial", "--cache-dir", str(tmp_path)], capsys)
-
-        def boom(point):
-            raise AssertionError("simulator called on the cached pass")
-
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
-        code, out = run_cli(
-            ["sweep", "--smoke", "--serial", "--cache-dir", str(tmp_path)], capsys
-        )
-        assert code == 0
-        assert "4 cached, 0 simulated" in out
-
-    def test_default_grid_covers_four_workloads(self, tmp_path, capsys):
+    def test_default_grid_covers_four_workloads(self, capsys):
         code, out = run_cli(
             [
                 "sweep",
-                "--serial",
-                "--cache-dir",
-                str(tmp_path),
                 "--pruning-rates",
                 "0.9",  # thin one axis: 4 PEs x 3 buffers x 1 rate x 4 workloads
             ],
@@ -56,12 +47,12 @@ class TestSweepCommand:
         assert "VGG-16/CIFAR-10" in out
         assert "MobileNetV1/CIFAR-10" in out
 
-    def test_model_flag_overrides_workloads(self, tmp_path, capsys):
+    def test_model_flag_overrides_workloads(self, capsys):
         """Acceptance: `sweep --model mobilenet --dataset cifar10` runs end-to-end."""
         code, out = run_cli(
             [
                 "sweep", "--model", "mobilenet", "--dataset", "cifar10",
-                "--smoke", "--serial", "--cache-dir", str(tmp_path),
+                "--smoke",
             ],
             capsys,
         )
@@ -71,19 +62,18 @@ class TestSweepCommand:
         code, out = run_cli(
             [
                 "sweep", "--model", "vgg16",
-                "--smoke", "--serial", "--cache-dir", str(tmp_path),
+                "--smoke",
             ],
             capsys,
         )
         assert code == 0
         assert "VGG-16/CIFAR-10" in out
 
-    def test_dataset_without_model_is_rejected(self, tmp_path):
+    def test_dataset_without_model_is_rejected(self):
         with pytest.raises(SystemExit, match="--dataset requires --model"):
             main(
                 [
-                    "sweep", "--dataset", "imagenet", "--smoke", "--serial",
-                    "--cache-dir", str(tmp_path),
+                    "sweep", "--dataset", "imagenet", "--smoke",
                 ]
             )
 
@@ -91,16 +81,16 @@ class TestSweepCommand:
         out_file = tmp_path / "sweep.json"
         code, out = run_cli(
             [
-                "sweep", "--smoke", "--serial", "--no-cache", "--out", str(out_file),
+                "sweep", "--smoke", "--out", str(out_file),
             ],
             capsys,
         )
         assert code == 0
         assert load_records(out_file)
 
-    def test_rejects_malformed_workload(self, tmp_path, capsys):
+    def test_rejects_malformed_workload(self, capsys):
         with pytest.raises(SystemExit):
-            main(["sweep", "--serial", "--no-cache", "--workloads", "AlexNet"])
+            main(["sweep", "--workloads", "AlexNet"])
 
 
 class TestParetoCommand:
@@ -109,8 +99,6 @@ class TestParetoCommand:
         code, out = run_cli(
             [
                 "pareto",
-                "--serial",
-                "--cache-dir", str(tmp_path),
                 "--pes", "84,168,336",
                 "--buffers", "386",
                 "--pruning-rates", "0.9",
@@ -130,14 +118,11 @@ class TestParetoCommand:
     def test_from_file_skips_sweeping(self, tmp_path, capsys, monkeypatch):
         export = tmp_path / "sweep.json"
         run_cli(
-            ["sweep", "--smoke", "--serial", "--no-cache", "--out", str(export)],
+            ["sweep", "--smoke", "--out", str(export)],
             capsys,
         )
 
-        def boom(point):
-            raise AssertionError("simulator called when loading from file")
-
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
+        forbid_evaluation(monkeypatch, "design points evaluated when loading from file")
         code, out = run_cli(
             ["pareto", "--from", str(export), "--objectives", "latency_us,energy_uj"],
             capsys,
@@ -145,21 +130,16 @@ class TestParetoCommand:
         assert code == 0
         assert "loaded 4 records" in out
 
-    def test_rejects_unknown_objective(self, tmp_path, capsys):
+    def test_rejects_unknown_objective(self, capsys):
         code = main(
-            ["pareto", "--smoke", "--serial", "--no-cache", "--objectives", "latency"]
+            ["pareto", "--smoke", "--objectives", "latency"]
         )
         assert code == 2
         assert "unknown objective" in capsys.readouterr().err
 
     def test_rejects_bad_export_suffix_before_sweeping(self, capsys, monkeypatch):
-        def boom(point):
-            raise AssertionError("simulated before the export path was validated")
-
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
-        code = main(
-            ["sweep", "--smoke", "--serial", "--no-cache", "--out", "x.parquet"]
-        )
+        forbid_evaluation(monkeypatch, "evaluated before the export path was validated")
+        code = main(["sweep", "--smoke", "--out", "x.parquet"])
         assert code == 2
         assert "unsupported export suffix" in capsys.readouterr().err
 

@@ -1,16 +1,14 @@
-"""Tests for the design-point evaluation engine (dedup, cache, parallel)."""
+"""Tests for design points, records and their evaluation."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analytic.model import evaluate_points_analytic
 from repro.arch.area import estimate_area
-from repro.explore import engine as engine_module
-from repro.explore.cache import ResultCache
 from repro.explore.engine import (
     DesignPoint,
     EvaluationRecord,
-    ExplorationEngine,
     analytic_densities,
     evaluate_point,
     points_for,
@@ -102,74 +100,15 @@ class TestPointsFor:
 
 
 class TestExplorationEngine:
+    """Sweeps evaluate point lists through the closed-form model."""
+
     def test_serial_run_returns_input_order(self):
         points = points_for(SMALL_SPACE, WORKLOADS)
-        engine = ExplorationEngine(parallel=False)
-        records = engine.run(points)
+        records = evaluate_points_analytic(points)
         assert [r.key for r in records] == [p.key for p in points]
-        assert engine.stats.requested == len(points)
-        assert engine.stats.evaluated == len(points)
-        assert engine.stats.cache_hits == 0
 
     def test_deduplicates_identical_points(self):
         point = DesignPoint.from_assignment("AlexNet", "CIFAR-10", {"num_pes": 84})
-        engine = ExplorationEngine(parallel=False)
-        records = engine.run([point, point, point])
+        records = evaluate_points_analytic([point, point, point])
         assert len(records) == 1
-        assert engine.stats.requested == 3
-        assert engine.stats.deduplicated == 2
-        assert engine.stats.evaluated == 1
-
-    def test_parallel_matches_serial(self):
-        points = points_for(SMALL_SPACE, WORKLOADS)
-        serial = ExplorationEngine(parallel=False).run(points)
-        parallel = ExplorationEngine(parallel=True, max_workers=2).run(points)
-        assert serial == parallel
-
-    def test_cache_populated_and_reused(self, tmp_path):
-        points = points_for(SMALL_SPACE, WORKLOADS[:1])
-        cache = ResultCache(tmp_path / "cache.jsonl")
-        first = ExplorationEngine(cache=cache, parallel=False)
-        records = first.run(points)
-        assert first.stats.evaluated == len(points)
-        assert len(cache) == len(points)
-
-        second = ExplorationEngine(cache=ResultCache(tmp_path / "cache.jsonl"),
-                                   parallel=False)
-        assert second.run(points) == records
-        assert second.stats.cache_hits == len(points)
-        assert second.stats.evaluated == 0
-
-    def test_cached_pass_makes_zero_simulator_calls(self, tmp_path, monkeypatch):
-        """Acceptance: a warm cache short-circuits the simulator entirely."""
-        points = points_for(SMALL_SPACE, WORKLOADS)
-        cache_path = tmp_path / "cache.jsonl"
-        warm = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
-        expected = warm.run(points)
-
-        def boom(point):
-            raise AssertionError(f"simulator called for {point.workload}")
-
-        monkeypatch.setattr(engine_module, "evaluate_point", boom)
-        cold = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
-        assert cold.run(points) == expected
-        assert cold.stats.evaluated == 0
-        assert cold.stats.cache_hits == len(points)
-
-    def test_partial_cache_only_simulates_misses(self, tmp_path):
-        cache_path = tmp_path / "cache.jsonl"
-        first_half = points_for(SMALL_SPACE, WORKLOADS[:1])
-        ExplorationEngine(cache=ResultCache(cache_path), parallel=False).run(first_half)
-
-        everything = points_for(SMALL_SPACE, WORKLOADS)
-        engine = ExplorationEngine(cache=ResultCache(cache_path), parallel=False)
-        records = engine.run(everything)
-        assert len(records) == len(everything)
-        assert engine.stats.cache_hits == len(first_half)
-        assert engine.stats.evaluated == len(everything) - len(first_half)
-
-    def test_run_iter_streams_all_records(self):
-        points = points_for(SMALL_SPACE, WORKLOADS[:1])
-        engine = ExplorationEngine(parallel=False)
-        streamed = list(engine.run_iter(points))
-        assert {r.key for r in streamed} == {p.key for p in points}
+        assert records[0].key == point.key

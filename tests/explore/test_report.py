@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.explore.engine import ExplorationEngine, points_for
+from repro.analytic.model import evaluate_points_analytic
+from repro.explore.engine import points_for
 from repro.explore.report import (
     export_records,
     format_frontier,
@@ -29,7 +30,7 @@ def records():
         )
     )
     points = points_for(space, [("AlexNet", "CIFAR-10")])
-    return ExplorationEngine(parallel=False).run(points)
+    return evaluate_points_analytic(points)
 
 
 class TestJsonRoundTrip:

@@ -168,6 +168,22 @@ class TestCheckRegression:
         assert violations == []
         assert any("p95 missing" in note for note in checked)
 
+    def test_cache_hit_stage_is_not_compared_with_a_cold_run(self):
+        """A 0 s cache-hit ``train`` must not pass against a cold baseline."""
+        current = _payload(10.0, {"train": 0.001, "report": 1.0})
+        current["stages"] = {"train": {"cache_hit": True}}
+        baseline = _payload(10.0, {"train": 1.5, "report": 1.0})
+        baseline["stages"] = {"train": {"cache_hit": False}}
+        violations, checked = check_regression(current, baseline)
+        assert violations == []
+        assert any(
+            note.startswith("stage train: skipped") and "cache_hit" in note
+            for note in checked
+        )
+        assert not any(note.startswith("stage train p95") for note in checked)
+        # Stages without a cache flag are still compared.
+        assert any(note.startswith("stage report p95") for note in checked)
+
     def test_scale_mismatch_raises(self):
         with pytest.raises(ValueError, match="scale mismatch"):
             check_regression(_payload(10.0, smoke=True), _payload(10.0))
