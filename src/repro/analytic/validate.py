@@ -167,9 +167,9 @@ def _simulate_stage(ctx: PipelineContext) -> dict[str, Any]:
     from repro.analytic.model import evaluate_points_analytic
 
     points = ctx["compile"]
-    # The simulator walk is the expensive half — fan it out over the shared
-    # runner; the analytic half is one vectorized call.
-    simulated = ctx.runner.map(evaluate_point, points)
+    # The simulator walk is the expensive half, one point at a time; the
+    # analytic half is one vectorized call.
+    simulated = [evaluate_point(point) for point in points]
     analytic = evaluate_points_analytic(points)
     return {"simulated": simulated, "analytic": analytic}
 

@@ -8,8 +8,8 @@ benchmark, the design-space sweeps) executes through this layer:
   came out.
 * :class:`Pipeline` / :class:`Stage` / :class:`PipelineContext` — the named
   stage graph (``train``, ``prune``, ``profile``, ``compile``, ``simulate``,
-  ``report``) with per-stage timing and disk-caching hooks.
-* :class:`Runner` — the single worker-pool fan-out primitive.
+  ``report``) with per-stage timing and disk-caching hooks.  Every stage
+  runs in the process that runs the pipeline.
 * :func:`register_workload` / :func:`register_experiment` — decorator-based
   registries that ``models/zoo``, the figure/table harnesses, ``bench`` and
   the design-space sweeps register into; :func:`run_experiment` resolves and
@@ -56,7 +56,6 @@ from repro.api.request import (
     canonical_json,
     content_hash,
 )
-from repro.api.runner import Runner, default_runner
 from repro.api.stages import (
     DeadlineExceeded,
     STAGE_ORDER,
@@ -76,7 +75,6 @@ __all__ = [
     "PipelineContext",
     "Registry",
     "RunOptions",
-    "Runner",
     "STAGE_ORDER",
     "Stage",
     "UnknownNameError",
@@ -84,7 +82,6 @@ __all__ = [
     "Workload",
     "canonical_json",
     "content_hash",
-    "default_runner",
     "get_experiment",
     "get_workload",
     "list_experiments",

@@ -29,7 +29,6 @@ from repro.api.request import (
     ExperimentResult,
     RunOptions,
 )
-from repro.api.runner import default_runner
 from repro.api.stages import Pipeline, PipelineContext
 
 
@@ -139,9 +138,6 @@ class Experiment:
                 f"not {self.name!r}"
             )
         options = options if options is not None else RunOptions()
-        # ``parallel=False`` forces the serial path; otherwise the worker
-        # count decides (None/1 = serial, >1 = pool), matching the historical
-        # ``simulate_many`` semantics the fig/bench pipelines rely on.
         if trace_id is None:
             from repro.obs import current_trace
 
@@ -149,9 +145,6 @@ class Experiment:
         ctx = PipelineContext(
             request=request,
             options=options,
-            runner=default_runner(
-                options.max_workers, None if options.parallel else False
-            ),
             extras=dict(extras or {}),
             on_stage=on_stage,
             deadline=deadline,

@@ -9,9 +9,9 @@ experiment-specific parameters.  It is JSON round-trippable
 to a service, compared across machines, or used as a cache key.
 
 *How* to execute is deliberately kept out of the request:
-:class:`RunOptions` carries the execution knobs (worker count, cache
-directory, cache enablement) that must not change the result — and therefore
-must not change the content hash.
+:class:`RunOptions` carries the execution knobs (cache directory, cache
+enablement) that must not change the result — and therefore must not change
+the content hash.
 
 An :class:`ExperimentResult` is the JSON-serializable outcome: the request
 that produced it, a payload dict of the experiment's numbers, a formatted
@@ -270,24 +270,38 @@ def _normalize_workloads(
 class RunOptions:
     """Execution knobs that do not change the result (and are not hashed).
 
+    Every stage runs in the process that runs the job, so the only knobs
+    left are the density cache's.
+
     Attributes
     ----------
-    max_workers:
-        Worker processes for stages that fan out.  ``None``/``1`` = serial.
-    parallel:
-        Master parallelism switch: ``False`` forces serial execution in
-        every stage regardless of ``max_workers``; ``True`` (default) lets
-        the worker count decide.
     use_cache:
         Enable the persistent measured-density cache.
     cache_dir:
         Directory holding the density cache.
+    max_workers / parallel:
+        Constructor-only legacy inputs from when stages could fan out over a
+        worker-process pool.  Older callers still pass them, so they are
+        validated (``max_workers`` a positive int or ``None``, ``parallel`` a
+        bool) and then ignored; they are not fields.
     """
 
-    max_workers: int | None = None
-    parallel: bool = True
+    max_workers: InitVar[int | None] = None
+    parallel: InitVar[bool] = True
     use_cache: bool = True
     cache_dir: str | Path = DEFAULT_CACHE_DIR
+
+    def __post_init__(self, max_workers: Any, parallel: Any) -> None:
+        if max_workers is not None and (
+            isinstance(max_workers, bool)
+            or not isinstance(max_workers, int)
+            or max_workers < 1
+        ):
+            raise ValueError(
+                f"max_workers must be a positive int or None, got {max_workers!r}"
+            )
+        if not isinstance(parallel, bool):
+            raise ValueError(f"parallel must be a bool, got {parallel!r}")
 
     def density_cache(self):
         """The measured-density store (``None`` when caching is off)."""

@@ -13,17 +13,17 @@ canonical stage vocabulary:
                summaries and map them onto full-size specs
 ``compile``    lower specs + densities into simulator work units
                (instruction programs, workload jobs, design points)
-``simulate``   execute work units on the architecture model — the stage
-               that fans out over the :class:`~repro.api.runner.Runner`
+``simulate``   execute work units on the architecture model
 ``report``     package payload + summary + native result
                (:class:`~repro.api.request.ExperimentReport`)
 =============  ==========================================================
 
 A concrete :class:`Pipeline` uses an order-preserving subset of that
 vocabulary (Fig. 8 is ``train -> profile -> compile -> simulate -> report``;
-the FIFO ablation is just ``prune -> report``).  The
-:class:`PipelineContext` threads the request, run options, runner, artifacts
-and per-stage timings through the stages, and exposes the per-stage caching
+the FIFO ablation is just ``prune -> report``).  Every stage runs in the
+process (and thread) that runs the pipeline; no stage starts a process.  The
+:class:`PipelineContext` threads the request, run options, artifacts and
+per-stage timings through the stages, and exposes the per-stage caching
 hook (:meth:`PipelineContext.cached`) that the density cache plugs into.
 """
 
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.api.request import ExperimentRequest, RunOptions
-from repro.api.runner import Runner
 from repro.faults import fault_point
 from repro.obs import metrics, trace_context, trace_span
 
@@ -100,7 +99,6 @@ class PipelineContext:
 
     request: ExperimentRequest
     options: RunOptions = field(default_factory=RunOptions)
-    runner: Runner = field(default_factory=lambda: Runner(parallel=False))
     extras: dict[str, Any] = field(default_factory=dict)
     artifacts: dict[str, Any] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)

@@ -50,7 +50,7 @@ from repro.eval.fig8 import densities_for_workload, train_stage
 from repro.explore.cache import ResultCache
 from repro.models.spec import ConvLayerSpec, ConvStructure
 from repro.models.zoo import get_model_spec
-from repro.sim.runner import WorkloadJob, _run_job
+from repro.sim.runner import compare_workload
 
 DEFAULT_BENCH_PATH = "BENCH_repro.json"
 
@@ -299,8 +299,7 @@ def _compile_stage(ctx: PipelineContext) -> dict[str, Any]:
 def _simulate_stage(ctx: PipelineContext):
     """``simulate`` — SparseTrain vs the dense baseline on the workload."""
     compiled = ctx["compile"]
-    job = WorkloadJob(spec=compiled["spec"], densities=compiled["densities"])
-    return ctx.runner.map(_run_job, [job])[0]
+    return compare_workload(compiled["spec"], compiled["densities"])
 
 
 def _report_stage(ctx: PipelineContext) -> ExperimentReport:

@@ -25,8 +25,7 @@ Subcommands
 ``fig8`` / ``fig9``
     Regenerate the paper's latency (Fig. 8) and energy (Fig. 9) comparisons
     with the measured-density pipeline.  Density measurements are memoized on
-    disk (``--no-cache`` disables) and ``--workers N`` fans the per-workload
-    simulations out over processes.
+    disk (``--no-cache`` disables).
 ``bench``
     Time the pipeline stage by stage (train, compile, simulate, row-op
     validate) and write ``BENCH_repro.json`` — the repository's performance
@@ -277,7 +276,6 @@ def _run_fig(args: argparse.Namespace, experiment: str) -> int:
         scale=ExperimentScale.thorough() if args.thorough else None,
     )
     options = RunOptions(
-        max_workers=args.workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
     )
@@ -370,7 +368,6 @@ def request_from_args(args: argparse.Namespace) -> ExperimentRequest:
 def cmd_run(args: argparse.Namespace) -> int:
     request = request_from_args(args)
     options = RunOptions(
-        max_workers=args.workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
     )
@@ -455,7 +452,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return 2
     request = request_from_args(args)
     options = RunOptions(
-        max_workers=args.workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
     )
@@ -531,10 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
             help="experiment-specific parameter (JSON values accepted; repeatable)",
-        )
-        parser.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="worker processes for fan-out stages (default: serial)",
         )
         parser.add_argument(
             "--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -626,10 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="use the larger, slower experiment scale",
         )
         fig.add_argument("--pruning-rate", type=float, default=0.9)
-        fig.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="simulate workloads across N worker processes (default: serial)",
-        )
         fig.add_argument(
             "--cache-dir", default=DEFAULT_CACHE_DIR,
             help="directory of the measured-density cache (default: %(default)s)",

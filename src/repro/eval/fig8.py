@@ -14,12 +14,11 @@ The harness executes as a registered :mod:`repro.api` pipeline
    per-stage cache hook.
 2. ``profile`` — assign the measured densities to the paper's exact
    AlexNet/ResNet-18/34 layer geometries by relative depth.
-3. ``compile`` — lower each workload into a picklable
+3. ``compile`` — lower each workload into a
    :class:`~repro.sim.runner.WorkloadJob` (program compilation itself runs
-   inside the simulate workers so it parallelises with them).
+   in the ``simulate`` stage, inside ``compare_workload``).
 4. ``simulate`` — run SparseTrain and the dense baseline (168 PEs, 386 KB
-   buffer each) on every job through the shared worker-pool
-   :class:`~repro.api.runner.Runner`.
+   buffer each) on every job, in order, in the process running the job.
 5. ``report`` — per-sample latency and speedup tables.
 """
 
@@ -34,7 +33,6 @@ from repro.api import (
     ExperimentRequest,
     Pipeline,
     PipelineContext,
-    RunOptions,
     Stage,
     get_experiment,
     register_experiment,
@@ -279,7 +277,7 @@ def profile_stage(ctx: PipelineContext) -> dict[tuple[str, str], dict[str, Layer
 
 
 def compile_stage(ctx: PipelineContext) -> list[WorkloadJob]:
-    """``compile`` — lower every workload into a picklable simulation job."""
+    """``compile`` — lower every workload into a simulation job."""
     densities_by_workload = ctx["profile"]
     extras = ctx.extras
     return [
@@ -295,13 +293,12 @@ def compile_stage(ctx: PipelineContext) -> list[WorkloadJob]:
 
 
 def simulate_stage(ctx: PipelineContext) -> list[WorkloadResult]:
-    """``simulate`` — both architectures per job, fanned out over the runner.
+    """``simulate`` — both architectures per job, in job order.
 
     Shared by fig8 and fig9: the reports slice the per-(layer, step) results
-    that only the simulator builds.  ``RunOptions(parallel=False)`` runs the
-    jobs serially in-process.
+    that only the simulator builds.
     """
-    return ctx.runner.map(_run_job, ctx["compile"])
+    return [_run_job(job) for job in ctx["compile"]]
 
 
 def workload_payload(result_workloads: list[WorkloadResult]) -> dict[str, dict[str, float]]:
@@ -356,7 +353,6 @@ def run_fig8(
     energy_model: EnergyModel | None = None,
     measured: dict[str, MeasuredDensities] | None = None,
     density_cache: ResultCache | None = None,
-    max_workers: int | None = None,
 ) -> Fig8Result:
     """Regenerate the Fig. 8 latency/speedup comparison.
 
@@ -364,10 +360,7 @@ def run_fig8(
     ``measured`` can be passed to reuse density measurements across calls
     (e.g. Fig. 9 reuses Fig. 8's measurements); otherwise one reduced model
     per family is trained and profiled by the ``train`` stage (memoized on
-    disk when ``density_cache`` is given).  ``max_workers`` fans the
-    per-workload simulations out over worker processes through the shared
-    :class:`~repro.api.runner.Runner`; the default runs serially with
-    identical results.
+    disk when ``density_cache`` is given).
     """
     request = ExperimentRequest(
         experiment="fig8",
@@ -377,7 +370,6 @@ def run_fig8(
     )
     result = get_experiment("fig8").run(
         request,
-        options=RunOptions(max_workers=max_workers),
         extras={
             "measured": measured,
             "density_cache": density_cache,

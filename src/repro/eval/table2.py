@@ -196,32 +196,23 @@ def train_one_cell(
 # The table2 pipeline: train -> report
 # ---------------------------------------------------------------------------
 
-def _train_cell_job(
-    job: tuple[str, str, float | None, ExperimentScale],
-) -> Table2Cell:
-    """Picklable unit of work for the grid fan-out (one cell per worker)."""
-    model_name, dataset_name, rate, scale = job
-    return train_one_cell(model_name, dataset_name, rate, scale)
-
-
 def _train_stage(ctx: PipelineContext) -> list[Table2Cell]:
     """``train`` — one training run per (model, dataset, pruning-rate) cell.
 
-    Cells fan out over the pipeline's shared Runner (``--workers N`` routes
-    here through :class:`RunOptions`); every cell seeds its own training RNG,
-    so serial and parallel grids are bit-identical.
+    Cells train in grid order, in the process running the job; every cell
+    seeds its own training RNG, so a cell's numbers do not depend on the
+    cells trained before it.
     """
     request = ctx.request
     models = request.param("models", ["AlexNet", "ResNet-18"])
     datasets = request.param("datasets", ["CIFAR-10"])
     rates = request.param("pruning_rates", list(PAPER_PRUNING_RATES))
-    jobs = [
-        (model_name, dataset_name, rate, request.scale)
+    return [
+        train_one_cell(model_name, dataset_name, rate, request.scale)
         for model_name in models
         for dataset_name in datasets
         for rate in rates
     ]
-    return ctx.runner.map(_train_cell_job, jobs)
 
 
 def _report_stage(ctx: PipelineContext) -> ExperimentReport:

@@ -17,10 +17,9 @@ The dependency-free observability layer every other subsystem records into:
   Chrome/Perfetto trace per job and one ``/metrics/history`` series.
 
 Instrumented seams: pipeline stage execution (:mod:`repro.api.stages`), the
-worker-pool :class:`~repro.api.Runner`, the persistent result/density caches,
-and the :mod:`repro.serve` scheduler + store — surfaced by the service's
-``GET /stats`` / ``GET /metrics`` endpoints and the ``repro stats`` /
-``repro trace`` CLI verbs.
+persistent result/density caches, and the :mod:`repro.serve` scheduler +
+store — surfaced by the service's ``GET /stats`` / ``GET /metrics``
+endpoints and the ``repro stats`` / ``repro trace`` CLI verbs.
 
 Overhead policy: recording is always on (locked integer adds and a bounded
 deque append); nothing is formatted or written until an exporter or snapshot

@@ -224,7 +224,7 @@ Metric = Counter | Gauge | Histogram
 class MetricsRegistry:
     """Process-wide name + labels -> metric map.
 
-    Metric names are dotted lowercase (``runner.tasks.completed``); labels
+    Metric names are dotted lowercase (``pipeline.cache.lookups``); labels
     distinguish instances of the same metric (``stage="train"``,
     ``cache="densities"``).  Lookup creates on first use, so instrumentation
     sites never need registration boilerplate — but a name must keep one

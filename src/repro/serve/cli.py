@@ -50,11 +50,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     telemetry = ProcessTelemetry(args.db, worker_id=frontend_id).start()
 
     store = JobStore(args.db)
-    options = RunOptions(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
+    options = RunOptions(use_cache=not args.no_cache, cache_dir=args.cache_dir)
     # With a worker fleet the supervisor process runs front-end only
     # (concurrency=0): execution belongs to the worker processes, the
     # scheduler still submits, reaps expired leases, and feeds events.
@@ -97,7 +93,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             lease_ttl=args.lease_ttl,
             cache_dir=args.cache_dir,
             no_cache=args.no_cache,
-            job_workers=args.workers,
             quarantine_after=args.requeue_cap,
         )
         supervisor.start()
@@ -123,8 +118,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     service_log(
         f"repro serve: listening on {server.url} "
-        f"(db={args.db}, {execution}, "
-        f"workers={args.workers or 'serial'})"
+        f"(db={args.db}, {execution})"
     )
     if recovered:
         service_log(
@@ -182,11 +176,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     telemetry = ProcessTelemetry(args.db, worker_id=worker_id).start()
 
     store = JobStore(args.db)
-    options = RunOptions(
-        max_workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
+    options = RunOptions(use_cache=not args.no_cache, cache_dir=args.cache_dir)
     worker = Worker(
         store,
         options=options,
@@ -544,6 +534,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 # Parser wiring
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def register_serve_commands(
     sub: "argparse._SubParsersAction", default_cache_dir: str
 ) -> None:
@@ -565,9 +566,10 @@ def register_serve_commands(
         "--concurrency", type=int, default=1, metavar="N",
         help="jobs executed at once (default: %(default)s)",
     )
+    # Accepted for older scripts (``serve --workers 1``), validated and
+    # ignored: every job runs in the thread or process that claimed it.
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes per job's fan-out stages (default: serial)",
+        "--workers", type=_positive_int, default=None, help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--retry-delay", type=float, default=0.5, metavar="SECONDS",
@@ -629,10 +631,6 @@ def register_serve_commands(
     worker.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="SECONDS",
         help="idle sleep between queue checks (default: %(default)s)",
-    )
-    worker.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes per job's fan-out stages (default: serial)",
     )
     worker.add_argument(
         "--retry-delay", type=float, default=0.5, metavar="SECONDS",

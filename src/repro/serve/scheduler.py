@@ -1,4 +1,4 @@
-"""The job scheduler: drain the queue through the shared pipeline runner.
+"""The job scheduler: drain the queue through the registered pipelines.
 
 A :class:`Scheduler` owns a :class:`~repro.serve.store.JobStore` and runs
 ``concurrency`` :class:`~repro.serve.worker.Worker` threads over it — the
@@ -6,10 +6,10 @@ same claim/heartbeat/execute/outcome loop a ``repro worker`` process runs.
 Each worker atomically *leases* the next due job (priority first, FIFO
 within a priority, retry-backoff gates respected), executes it through
 :func:`repro.api.run_experiment` — i.e. through the exact registered
-pipeline the CLI runs, including the shared :class:`~repro.api.Runner`
-process-pool fan-out and the persistent density cache, so a
-job whose stages were computed before short-circuits to cached artifacts —
-and persists the outcome.
+pipeline the CLI runs, every stage in the worker's own thread and no
+process started, with the persistent density cache, so a job whose stages
+were computed before short-circuits to cached artifacts — and persists the
+outcome.
 
 What the scheduler guarantees:
 
@@ -171,14 +171,13 @@ class Scheduler:
         The persistent job store (shared with the HTTP API and any external
         ``repro worker`` processes).
     options:
-        The :class:`RunOptions` every job executes with — worker-pool size
-        for fan-out stages and the disk-cache location the pipelines
-        short-circuit to.
+        The :class:`RunOptions` every job executes with — the disk-cache
+        location the pipelines short-circuit to.
     concurrency:
-        How many jobs run at once (worker threads; each job may additionally
-        fan out over worker *processes* through its pipeline's Runner).
-        ``0`` runs no local execution at all — submissions, the reaper, and
-        the events feed still work, execution is left to external workers.
+        How many jobs run at once (worker threads; a job runs entirely in
+        its thread).  ``0`` runs no local execution at all — submissions,
+        the reaper, and the events feed still work, execution is left to
+        external workers.
     retry_base_delay / retry_max_delay:
         Exponential-backoff parameters for failed executions.
     poll_interval:

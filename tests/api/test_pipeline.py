@@ -1,4 +1,4 @@
-"""Pipeline/Stage/Runner/registry mechanics (no training, no simulation)."""
+"""Pipeline/Stage/registry mechanics (no training, no simulation)."""
 
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ from repro.api import (
     Pipeline,
     PipelineContext,
     Registry,
-    Runner,
     Stage,
     UnknownNameError,
-    default_runner,
 )
 from repro.explore.cache import ResultCache
 
@@ -135,38 +133,6 @@ class TestStageCacheHook:
             ctx.cached("k", lambda: calls.append(1), store=None)
         assert len(calls) == 2
         assert ctx.stage_cache_hit("train") is False
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestRunner:
-    def test_serial_map_preserves_order(self):
-        assert Runner(parallel=False).map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_parallel_matches_serial(self):
-        items = list(range(8))
-        serial = Runner(parallel=False).map(_square, items)
-        parallel = Runner(max_workers=2, parallel=True).map(_square, items)
-        assert parallel == serial
-
-    def test_single_item_stays_serial(self):
-        assert Runner(max_workers=4).map(_square, [5]) == [25]
-
-    def test_default_runner_semantics(self):
-        assert default_runner(None).parallel is False
-        assert default_runner(1).parallel is False
-        assert default_runner(4).parallel is True
-
-    def test_default_runner_parallel_override(self):
-        # RunOptions(parallel=False) must force serial even with workers set.
-        assert default_runner(4, parallel=False).parallel is False
-        assert default_runner(None, parallel=True).parallel is True
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            Runner(max_workers=0)
 
 
 class TestRegistry:

@@ -135,3 +135,26 @@ class TestRunOptions:
     def test_caches_land_in_cache_dir(self, tmp_path):
         options = RunOptions(cache_dir=tmp_path)
         assert str(options.density_cache().path).startswith(str(tmp_path))
+
+    def test_legacy_worker_inputs_are_validated_then_ignored(self):
+        # Every stage runs in process; older callers still pass these.
+        for kwargs in ({"max_workers": 1}, {"max_workers": 4}, {"parallel": False}):
+            options = RunOptions(use_cache=False, **kwargs)
+            assert options == RunOptions(use_cache=False)
+            assert "max_workers" not in vars(options)
+            assert "parallel" not in vars(options)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_workers": 0},
+            {"max_workers": -2},
+            {"max_workers": 2.0},
+            {"max_workers": True},
+            {"parallel": "yes"},
+            {"parallel": None},
+        ],
+    )
+    def test_bad_legacy_worker_inputs_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            RunOptions(**kwargs)

@@ -21,7 +21,6 @@ EXPECTED_SURFACE = [
     "PipelineContext",
     "Registry",
     "RunOptions",
-    "Runner",
     "STAGE_ORDER",
     "Stage",
     "UnknownNameError",
@@ -29,7 +28,6 @@ EXPECTED_SURFACE = [
     "Workload",
     "canonical_json",
     "content_hash",
-    "default_runner",
     "get_experiment",
     "get_workload",
     "list_experiments",

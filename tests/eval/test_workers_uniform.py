@@ -1,10 +1,8 @@
-"""``--workers N`` must route through RunOptions for *every* experiment.
+"""The legacy ``RunOptions(max_workers=N)`` input must not change a result.
 
-Historically only fig8/fig9 consumed ``RunOptions.max_workers``; the table2
-grid trained serially.  These tests pin the uniform contract: parallel and
-serial runs of the same request are identical (every unit of work seeds its
-own RNG).  The ablation sweeps evaluate in closed form, in process, so the
-worker count must not change their result.
+Every stage runs in the process that runs the job, so a worker count older
+callers still pass is validated and ignored.  The fig8/fig9/table2 case,
+with starting a process forbidden, is pinned in ``test_no_process_started``.
 """
 
 from __future__ import annotations
@@ -23,20 +21,6 @@ def _run(experiment: str, params: dict, max_workers: int | None):
         request,
         options=RunOptions(max_workers=max_workers, use_cache=False),
     )
-
-
-class TestTable2Workers:
-    PARAMS = {
-        "models": ["AlexNet"],
-        "datasets": ["CIFAR-10"],
-        "pruning_rates": [None, 0.9],
-    }
-
-    def test_serial_and_parallel_grids_agree(self):
-        serial = _run("table2", self.PARAMS, max_workers=None)
-        parallel = _run("table2", self.PARAMS, max_workers=2)
-        assert serial.payload["cells"] == parallel.payload["cells"]
-        assert len(serial.payload["cells"]) == 2
 
 
 class TestAblationWorkers:

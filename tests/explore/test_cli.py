@@ -159,18 +159,25 @@ class TestParserWiring:
             namespace = parser.parse_args(args)
             assert callable(namespace.func)
 
-    def test_fig_commands_accept_workers_and_cache_flags(self):
+    def test_fig_commands_accept_cache_flags(self):
         parser = build_parser()
         for command in ("fig8", "fig9"):
             namespace = parser.parse_args(
-                [command, "--workers", "4", "--no-cache", "--cache-dir", "/tmp/c"]
+                [command, "--no-cache", "--cache-dir", "/tmp/c"]
             )
-            assert namespace.workers == 4
             assert namespace.no_cache is True
             assert namespace.cache_dir == "/tmp/c"
-        # Default: caching on, serial simulation.
-        namespace = parser.parse_args(["fig8"])
-        assert namespace.workers is None and namespace.no_cache is False
+        # Default: caching on.
+        assert parser.parse_args(["fig8"]).no_cache is False
+
+    def test_workers_flag_is_gone_from_job_commands(self):
+        # Stages run in process; only `serve` keeps a hidden, ignored --workers.
+        parser = build_parser()
+        for args in (
+            ["fig8"], ["fig9"], ["run", "fig8"], ["trace", "fig8"], ["worker"]
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*args, "--workers", "2"])
 
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):

@@ -1,4 +1,4 @@
-"""End-to-end telemetry: pipeline stages, the runner, and caches.
+"""End-to-end telemetry: pipeline stages and caches.
 
 The instrumentation records into the process-global registry/ring, which
 accumulates across a pytest run — every assertion here is therefore a
@@ -7,10 +7,7 @@ accumulates across a pytest run — every assertion here is therefore a
 
 from __future__ import annotations
 
-import pytest
-
 from repro.api import ExperimentRequest, RunOptions, run_experiment
-from repro.api.runner import Runner
 from repro.eval.common import ExperimentScale
 from repro.explore.cache import CacheInfo, ResultCache
 from repro.obs import TRACE, metrics
@@ -65,39 +62,6 @@ class TestPipelineInstrumentation:
             if span.name.startswith("stage."):
                 assert span.parent_id == pipeline_span.span_id
         assert pipeline_span.attrs["experiment"] == "ablate-fifo"
-
-
-class TestRunnerInstrumentation:
-    def test_serial_batch_counts_submitted_and_completed(self):
-        runner = Runner(parallel=False)
-        submitted = _counter("runner.tasks.submitted")
-        completed = _counter("runner.tasks.completed")
-        wait_count = _hist_count("runner.task.queue_wait_seconds")
-        exec_count = _hist_count("runner.task.exec_seconds")
-
-        assert runner.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-        assert _counter("runner.tasks.submitted") == submitted + 3
-        assert _counter("runner.tasks.completed") == completed + 3
-        assert _hist_count("runner.task.queue_wait_seconds") == wait_count + 3
-        assert _hist_count("runner.task.exec_seconds") == exec_count + 3
-
-    def test_failed_task_counts_failure_and_cancellations(self):
-        runner = Runner(parallel=False)
-        failed = _counter("runner.tasks.failed")
-        cancelled = _counter("runner.tasks.cancelled")
-
-        def explode(x):
-            if x == 2:
-                raise ValueError("x == 2")
-            return x
-
-        with pytest.raises(ValueError):
-            runner.map(explode, [1, 2, 3])
-
-        assert _counter("runner.tasks.failed") == failed + 1
-        # Item 3 never ran: it was cancelled by item 2's failure.
-        assert _counter("runner.tasks.cancelled") == cancelled + 1
 
 
 class TestResultCacheCounters:

@@ -256,6 +256,28 @@ class TestServeCommand:
         assert "drained cleanly" in out
         assert outcome["job"]["state"] == "done"
 
+    def test_hidden_workers_flag_is_accepted_and_validated(
+        self, tmp_path, capsys
+    ):
+        """``--workers`` is kept for older scripts but must be a positive int.
+
+        A bad value exits 2 from argument parsing, before the port is bound
+        or the job store is opened, and the flag stays out of ``--help``.
+        """
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(["serve", "--workers", "1"]).workers == 1
+        db = tmp_path / "serve.db"
+        for bad in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--workers", bad, "--port", "0", "--db", str(db)])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+        assert not db.exists()
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "--workers" not in capsys.readouterr().out
+
     def test_port_conflict_exits_two_before_touching_the_queue(
         self, tmp_path, capsys
     ):

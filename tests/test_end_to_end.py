@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ class TestPackage:
         assert repro.__version__
         for name in ("nn", "data", "models", "pruning", "sparsity", "dataflow", "arch", "baselines", "sim"):
             assert hasattr(repro, name)
+
+    def test_pyproject_reads_the_package_version(self):
+        # One version string: the package's, served by /healthz and /stats.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert "version" not in config["project"]
+        assert config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
 
 
 class TestFullPipeline:
