@@ -1,7 +1,7 @@
 """``repro.api`` — the stable, typed public API of the reproduction.
 
 Every harness in this repository (Fig. 8/9, Table I/II, the ablations, the
-benchmark, the design-space sweeps) executes through this layer:
+design-space sweeps) executes through this layer:
 
 * :class:`ExperimentRequest` / :class:`ExperimentResult` — frozen, JSON
   round-trippable, content-hashable descriptions of what to compute and what
@@ -11,9 +11,9 @@ benchmark, the design-space sweeps) executes through this layer:
   ``report``) with per-stage timing and disk-caching hooks.  Every stage
   runs in the process that runs the pipeline.
 * :func:`register_workload` / :func:`register_experiment` — decorator-based
-  registries that ``models/zoo``, the figure/table harnesses, ``bench`` and
-  the design-space sweeps register into; :func:`run_experiment` resolves and
-  executes by name.
+  registries that ``models/zoo``, the figure/table harnesses, the ablations
+  and the design-space sweeps register into; :func:`run_experiment` resolves
+  and executes by name.
 
 Minimal use::
 

@@ -9,8 +9,8 @@ simulate chain, harness modules *register* two kinds of entries:
   plus the VGG/MobileNet families.
 * **experiments** (:func:`register_experiment`) — named pipeline builders.
   ``eval/fig8``, ``eval/fig9``, ``eval/table1``, ``eval/table2``,
-  ``eval/ablations``, ``bench`` and ``explore/experiments`` each register
-  one or more.
+  ``eval/ablations``, ``analytic/validate`` and ``explore/experiments`` each
+  register one or more.
 
 Every consumer — the CLI, the figure harness wrappers, services built on
 top — resolves names through the same :class:`Registry`, so an unknown name
@@ -238,7 +238,6 @@ def ensure_builtins_registered() -> None:
     if _BUILTINS_LOADED:
         return
     import repro.analytic.validate  # noqa: F401  (analytic-validate)
-    import repro.bench  # noqa: F401  (registers: bench)
     import repro.eval.ablations  # noqa: F401  (ablate-fifo/-rate/-pes/-energy)
     import repro.eval.fig8  # noqa: F401  (fig8)
     import repro.eval.fig9  # noqa: F401  (fig9)

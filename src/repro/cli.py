@@ -26,13 +26,6 @@ Subcommands
     Regenerate the paper's latency (Fig. 8) and energy (Fig. 9) comparisons
     with the measured-density pipeline.  Density measurements are memoized on
     disk (``--no-cache`` disables).
-``bench``
-    Time the pipeline stage by stage (train, compile, simulate, row-op
-    validate) and write ``BENCH_repro.json`` — the repository's performance
-    trajectory.  The row-op stage cross-validates the scalar and vectorized
-    PE backends and reports their speedup.  ``--check`` compares the run
-    against a committed baseline and exits non-zero on a >tolerance
-    regression in the row-op speedup or any stage p95 — the CI perf gate.
 ``trace``
     Run any registered experiment with the same flags as ``run`` and dump a
     Chrome-trace JSON (``chrome://tracing`` / Perfetto) of the pipeline's
@@ -290,43 +283,6 @@ def cmd_fig8(args: argparse.Namespace) -> int:
 
 def cmd_fig9(args: argparse.Namespace) -> int:
     return _run_fig(args, "fig9")
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import check_regression, run_bench
-
-    baseline = None
-    if args.check:
-        # Read the baseline *before* the run: with the default --out the run
-        # overwrites BENCH_repro.json, and the committed numbers must be in
-        # hand first.
-        baseline_path = Path(args.baseline)
-        if not baseline_path.is_file():
-            print(f"error: baseline {args.baseline} not found", file=sys.stderr)
-            return 2
-        baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    result = run_bench(
-        smoke=args.smoke,
-        out=args.out,
-        density_cache=_density_cache(args),
-        pruning_rate=args.pruning_rate,
-    )
-    print(result.format())
-    print(f"wrote {args.out}")
-    if baseline is None:
-        return 0
-    violations, checked = check_regression(
-        result.to_payload(), baseline, tolerance=args.tolerance
-    )
-    print(f"\nregression check vs {args.baseline} (tolerance {args.tolerance:.0%}):")
-    for note in checked:
-        print(f"  {note}")
-    if violations:
-        for violation in violations:
-            print(f"REGRESSION: {violation}", file=sys.stderr)
-        return 1
-    print("no regression: all checks within tolerance")
-    return 0
 
 
 def _parse_set_params(pairs: Sequence[str]) -> dict:
@@ -627,41 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="measure densities fresh instead of using the disk cache",
         )
         fig.set_defaults(func=func)
-
-    bench = sub.add_parser(
-        "bench", help="time the pipeline stages and write BENCH_repro.json"
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny scale for CI smoke runs (seconds instead of minutes)",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_repro.json",
-        help="benchmark output file (default: %(default)s)",
-    )
-    bench.add_argument("--pruning-rate", type=float, default=0.9)
-    bench.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR,
-        help="directory of the measured-density cache (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--no-cache", action="store_true",
-        help="measure densities fresh instead of using the disk cache",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="after the run, compare against --baseline and exit 1 on a "
-             "speedup or stage-p95 regression beyond --tolerance",
-    )
-    bench.add_argument(
-        "--baseline", default="BENCH_repro.json", metavar="FILE",
-        help="committed baseline for --check (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.2, metavar="FRACTION",
-        help="--check relative tolerance band (default: %(default)s = 20%%)",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     from repro.serve.cli import register_serve_commands
 

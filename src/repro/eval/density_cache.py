@@ -2,9 +2,9 @@
 
 Measuring the per-layer operand densities of a model family means training a
 reduced model for several epochs — by far the slowest stage of the fig8/fig9
-pipeline and of ``python -m repro bench``.  The measurement is a pure
-function of (model name, pruning rate, :class:`ExperimentScale`), so repeated
-eval/benchmark runs can skip the retraining entirely.
+pipeline.  The measurement is a pure function of (model name, pruning rate,
+:class:`ExperimentScale`), so repeated eval/benchmark runs can skip the
+retraining entirely.
 
 This module reuses the exploration subsystem's append-only JSONL cache
 (:class:`repro.explore.cache.ResultCache`): entries are keyed by a stable

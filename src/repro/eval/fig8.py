@@ -215,7 +215,7 @@ def measure_family_densities(
 
 
 # ---------------------------------------------------------------------------
-# The fig8 pipeline (shared by fig9 and bench)
+# The fig8 pipeline (shared by fig9)
 # ---------------------------------------------------------------------------
 
 def request_workloads(request: ExperimentRequest) -> tuple[tuple[str, str], ...]:
@@ -240,7 +240,7 @@ def train_stage(ctx: PipelineContext) -> dict[str, MeasuredDensities]:
 
     Each family's measurement goes through the pipeline's per-stage cache
     hook with the :func:`repro.eval.density_cache.density_cache_key` content
-    hash, so fig8, fig9 and bench runs share measurements on disk.
+    hash, so fig8 and fig9 runs share measurements on disk.
     """
     request = ctx.request
     preloaded = ctx.extras.get("measured")

@@ -23,8 +23,8 @@ endpoints and the ``repro stats`` / ``repro trace`` CLI verbs.
 
 Overhead policy: recording is always on (locked integer adds and a bounded
 deque append); nothing is formatted or written until an exporter or snapshot
-is explicitly requested, so the hot path cost is fixed and tiny (the bench
-gate bounds it at <= 2% on the simulate stage).
+is explicitly requested, so the hot path cost is fixed and small.  The
+documented bound is <= 2% of wall-clock; it is not yet measured.
 """
 
 from __future__ import annotations

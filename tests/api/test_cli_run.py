@@ -20,7 +20,7 @@ class TestListCommand:
     def test_lists_experiments_and_workloads(self, capsys):
         code, out, _ = run_cli(["list"], capsys)
         assert code == 0
-        for name in ("fig8", "fig9", "table1", "table2", "bench", "sweep", "pareto"):
+        for name in ("fig8", "fig9", "table1", "table2", "sweep", "pareto"):
             assert name in out
         for workload in ("AlexNet", "ResNet-18", "VGG-16", "MobileNetV1"):
             assert workload in out
@@ -93,15 +93,3 @@ class TestRunCommand:
     def test_unknown_scale_preset_fails(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "fig8", "--scale", "galactic"])
-
-    def test_run_bench_without_workloads_uses_bench_workload(self, capsys, tmp_path):
-        """`repro run bench` defaults to the standard bench workload."""
-        code, out, _ = run_cli(
-            ["run", "bench", "--smoke", "--json",
-             "--cache-dir", str(tmp_path / "cache")],
-            capsys,
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["payload"]["workload"] == "AlexNet/CIFAR-10"
-        assert set(payload["timings"]) == {"train", "compile", "simulate", "report"}

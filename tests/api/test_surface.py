@@ -44,7 +44,6 @@ EXPECTED_EXPERIMENTS = {
     "ablate-fifo",
     "ablate-pes",
     "ablate-rate",
-    "bench",
     "fig8",
     "fig9",
     "pareto",

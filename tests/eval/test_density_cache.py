@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExperimentRequest, RunOptions, run_experiment
 from repro.dataflow.counts import LayerDensities
 from repro.eval.common import ExperimentScale
 from repro.eval.density_cache import (
@@ -120,3 +121,19 @@ class TestMeasureIntegration:
         )
         measure_model_densities("AlexNet", 0.9, other, cache=cache)
         assert len(cache) == 2
+
+
+class TestPipelineCacheHit:
+    def test_second_fig8_run_records_train_cache_hit(self, tmp_path):
+        """The fig8 result reports the density-cache hit of its ``train`` stage."""
+        request = ExperimentRequest(
+            experiment="fig8",
+            workloads=(("AlexNet", "CIFAR-10"),),
+            scale=ExperimentScale.smoke(),
+        )
+        options = RunOptions(cache_dir=tmp_path)
+        first = run_experiment(request, options)
+        assert dict(first.cache_hits)["train"] is False
+        second = run_experiment(request, options)
+        assert dict(second.cache_hits)["train"] is True
+        assert second.payload == first.payload

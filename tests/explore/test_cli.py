@@ -152,7 +152,6 @@ class TestParserWiring:
             ["pareto", "--objectives", "latency_us"],
             ["fig8", "--paper", "--pruning-rate", "0.8"],
             ["fig9", "--thorough"],
-            ["bench", "--smoke", "--out", "bench.json"],
             ["trace", "fig8", "--smoke", "--out", "trace.json"],
             ["stats", "--watch", "--interval", "1"],
         ):
